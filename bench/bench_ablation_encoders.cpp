@@ -7,7 +7,7 @@ using namespace dart;
 int main() {
   auto apps = bench::bench_apps();
   // Ablations default to a representative subset to keep runtime modest.
-  if (common::env_list("DART_APPS").empty()) {
+  if (core::ExperimentSpec::env_apps().empty()) {
     apps = {trace::App::kLibquantum, trace::App::kGcc, trace::App::kMilc, trace::App::kMcf};
   }
   core::PipelineOptions opts = core::PipelineOptions::bench_defaults();

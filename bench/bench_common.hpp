@@ -21,9 +21,9 @@
 namespace dart::bench {
 
 /// Apps to evaluate: all eight by default, or the DART_APPS subset
-/// (parsed once, by core::ExperimentSpec::bench_defaults).
+/// (parsed once, by core::ExperimentSpec::env_apps).
 inline std::vector<trace::App> bench_apps() {
-  const std::vector<trace::App> apps = core::ExperimentSpec::bench_defaults().apps;
+  const std::vector<trace::App> apps = core::ExperimentSpec::env_apps();
   return apps.empty() ? trace::all_apps() : apps;
 }
 

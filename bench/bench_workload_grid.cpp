@@ -41,9 +41,11 @@ int main(int argc, char** argv) {
   }
 
   core::ExperimentSpec spec = core::ExperimentSpec::bench_defaults();
-  spec.apps.clear();  // synthetic corpus only; DART_APPS does not apply here
   spec.sweep = core::SweepOptions::from_env();
   if (!store_dir.empty()) spec.sweep.store_dir = store_dir;
+  // Synthetic corpus only: DART_WORKLOADS or the default corpus sets the
+  // rows, so DART_APPS does not apply here.
+  spec.workloads = core::ExperimentSpec::env_workloads();
   if (spec.workloads.empty()) {
     spec.workloads = {
         "trace:zipfian,footprint=64M,theta=0.99",
@@ -79,14 +81,7 @@ int main(int argc, char** argv) {
   bench::print_metric_table(result, "ipc", "IPC improvement over the workload corpus",
                             "workload_grid_ipc.csv");
 
-  std::string tag = "#tag corpus instr=" + std::to_string(spec.pipeline.raw_accesses) +
-                    " samples=" + std::to_string(spec.pipeline.prep.max_samples) +
-                    " epochs=" + std::to_string(spec.pipeline.teacher_train.epochs) +
-                    " workloads=";
-  for (const auto& w : spec.workloads) tag += w + ";";
-  tag += " pfs=";
-  for (const auto& p : spec.prefetchers) tag += p + ";";
-  if (!result.write_csv(csv_path, tag)) {
+  if (!result.write_csv(csv_path)) {
     std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
     return 1;
   }

@@ -1,54 +1,37 @@
 #include "prefetch_sweep.hpp"
 
-#include <sstream>
-
 #include "bench_common.hpp"
 
 namespace dart::bench {
 
 namespace {
 
-constexpr const char* kCachePath = "prefetch_sweep_cache.csv";
-
-std::string current_tag(const core::ExperimentSpec& spec) {
-  std::ostringstream os;
-  // engine= names the simulator-semantics generation: bump it whenever
-  // SimStats definitions or event ordering change (DESIGN.md §8), so a
-  // cache written by an older engine cannot be silently reused.
-  os << "#tag engine=2 instr=" << spec.pipeline.raw_accesses
-     << " samples=" << spec.pipeline.prep.max_samples
-     << " epochs=" << spec.pipeline.teacher_train.epochs << " apps=";
-  for (trace::App a : spec.apps.empty() ? trace::all_apps() : spec.apps) {
-    os << trace::app_name(a) << ';';
-  }
-  // DART_WORKLOADS extends the grid; a cache keyed without them would be
-  // silently reused across different corpora.
-  os << " workloads=";
-  for (const auto& w : spec.workloads) os << w << ';';
-  os << " pfs=";
-  for (const auto& p : spec.prefetchers) os << p << ';';
-  return os.str();
-}
+constexpr const char* kStoreDir = "prefetch_sweep_store";
 
 }  // namespace
 
-core::ExperimentResult cached_prefetch_sweep() {
+core::ExperimentSpec prefetch_sweep_spec() {
   core::ExperimentSpec spec = core::ExperimentSpec::bench_defaults();
-  if (spec.apps.empty()) spec.apps = bench_apps();
-  const std::string tag = current_tag(spec);
-
-  core::ExperimentResult result;
-  if (core::ExperimentResult::read_csv(kCachePath, tag, &result)) {
-    std::printf("[cache] loaded %zu sweep cells from %s\n", result.cells.size(), kCachePath);
-    return result;
+  spec.workloads.clear();
+  for (trace::App app : bench_apps()) spec.workloads.push_back(trace::app_name(app));
+  for (std::string& w : core::ExperimentSpec::env_workloads()) {
+    spec.workloads.push_back(std::move(w));
   }
+  spec.sweep = core::SweepOptions::from_env();
+  if (spec.sweep.store_dir.empty()) spec.sweep.store_dir = kStoreDir;
+  return spec;
+}
 
+core::ExperimentResult cached_prefetch_sweep() {
+  const core::ExperimentSpec spec = prefetch_sweep_spec();
   common::Stopwatch watch;
-  std::printf("running prefetcher sweep (%zu apps x %zu prefetchers)...\n", spec.apps.size(),
-              spec.prefetchers.size());
-  result = core::ExperimentRunner(spec).run();
-  std::printf("sweep done in %.1f s\n", watch.elapsed_s());
-  result.write_csv(kCachePath, tag);
+  std::printf("running prefetcher sweep (result store: %s)...\n", spec.sweep.store_dir.c_str());
+  core::ExperimentResult result = core::ExperimentRunner(spec).run();
+  std::printf("sweep of %zu workloads x %zu prefetchers done in %.1f s (%zu simulated, %zu reused, "
+              "%zu quarantined)\n",
+              result.apps().size(), spec.prefetchers.size(), watch.elapsed_s(),
+              result.count(core::CellStatus::kDone), result.count(core::CellStatus::kSkipped),
+              result.count(core::CellStatus::kFailed));
   return result;
 }
 

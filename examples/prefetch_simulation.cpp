@@ -19,7 +19,7 @@ int main(int argc, char** argv) try {
   const trace::App app = argc > 1 ? trace::app_from_name(argv[1]) : trace::App::kMcf;
 
   core::ExperimentSpec spec;
-  spec.apps = {app};
+  spec.workloads = {trace::app_name(app)};
   spec.prefetchers = {"bo", "isb", "dart"};
   for (int i = 2; i < argc; ++i) spec.prefetchers.push_back(argv[i]);
   spec.pipeline.raw_accesses = 200000;

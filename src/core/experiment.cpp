@@ -194,18 +194,6 @@ std::string csv_quote(const std::string& field) {
   return "\"" + field + "\"";
 }
 
-bool csv_next_field(std::stringstream& ss, std::string* out) {
-  out->clear();
-  if (!ss.good()) return false;
-  if (ss.peek() == '"') {
-    ss.get();
-    std::getline(ss, *out, '"');
-    if (ss.peek() == ',') ss.get();
-    return true;
-  }
-  return static_cast<bool>(std::getline(ss, *out, ','));
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -251,19 +239,29 @@ SweepOptions SweepOptions::from_env() {
 
 ExperimentSpec ExperimentSpec::bench_defaults() {
   ExperimentSpec spec;
-  for (const auto& name : common::env_list("DART_APPS")) {
-    spec.apps.push_back(trace::app_from_name(name));
-  }
-  const std::string wls = common::env_string("DART_WORKLOADS", "");
-  if (!wls.empty()) {
-    // Validate up front (fail fast on typos) but carry the spec strings.
-    for (const trace::Workload& w : trace::parse_workload_list(wls)) {
-      spec.workloads.push_back(w.spec());
-    }
-  }
+  for (trace::App app : env_apps()) spec.workloads.push_back(trace::app_name(app));
+  for (std::string& w : env_workloads()) spec.workloads.push_back(std::move(w));
   const std::string pfs = common::env_string("DART_PREFETCHERS", "");
   if (!pfs.empty()) spec.prefetchers = sim::split_spec_list(pfs);
   return spec;
+}
+
+std::vector<trace::App> ExperimentSpec::env_apps() {
+  std::vector<trace::App> apps;
+  for (const auto& name : common::env_list("DART_APPS")) {
+    apps.push_back(trace::app_from_name(name));
+  }
+  return apps;
+}
+
+std::vector<std::string> ExperimentSpec::env_workloads() {
+  // Validate up front (fail fast on typos) but carry the spec strings.
+  std::vector<std::string> specs;
+  for (const trace::Workload& w :
+       trace::parse_workload_list(common::env_string("DART_WORKLOADS", ""))) {
+    specs.push_back(w.spec());
+  }
+  return specs;
 }
 
 // ---------------------------------------------------------- ExperimentResult
@@ -332,10 +330,9 @@ std::size_t ExperimentResult::count(CellStatus status) const {
   return n;
 }
 
-bool ExperimentResult::write_csv(const std::string& path, const std::string& tag) const {
+bool ExperimentResult::write_csv(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
-  if (!tag.empty()) out << tag << '\n';
   out << "spec,prefetcher,app,baseline_ipc,ipc_improvement,pf_issued,pf_useful,pf_late,"
          "pf_dropped,llc_accesses,llc_hits,llc_demand_misses,instructions,cycles,"
          "storage_bytes,latency_cycles\n";
@@ -349,54 +346,6 @@ bool ExperimentResult::write_csv(const std::string& path, const std::string& tag
         << ',' << c.storage_bytes << ',' << c.latency_cycles << '\n';
   }
   return static_cast<bool>(out);
-}
-
-bool ExperimentResult::read_csv(const std::string& path, const std::string& expected_tag,
-                                ExperimentResult* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  if (!expected_tag.empty()) {
-    if (!std::getline(in, line) || line != expected_tag) return false;
-  }
-  if (!std::getline(in, line)) return false;  // header
-  ExperimentResult result;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::stringstream ss(line);
-    ExperimentCell c;
-    std::string field;
-    if (!csv_next_field(ss, &c.spec) || !csv_next_field(ss, &c.prefetcher) ||
-        !csv_next_field(ss, &c.app)) {
-      return false;
-    }
-    auto next_d = [&]() {
-      if (!csv_next_field(ss, &field)) throw std::invalid_argument("short row");
-      return std::stod(field);
-    };
-    auto next_u = [&]() { return static_cast<std::uint64_t>(next_d()); };
-    try {
-      c.baseline_ipc = next_d();
-      c.ipc_improvement = next_d();
-      c.stats.pf_issued = next_u();
-      c.stats.pf_useful = next_u();
-      c.stats.pf_late = next_u();
-      c.stats.pf_dropped = next_u();
-      c.stats.llc_accesses = next_u();
-      c.stats.llc_hits = next_u();
-      c.stats.llc_demand_misses = next_u();
-      c.stats.instructions = next_u();
-      c.stats.cycles = next_u();
-      c.storage_bytes = static_cast<std::size_t>(next_u());
-      c.latency_cycles = static_cast<std::size_t>(next_u());
-    } catch (const std::exception&) {
-      return false;
-    }
-    result.cells.push_back(std::move(c));
-  }
-  if (result.cells.empty()) return false;
-  *out = std::move(result);
-  return true;
 }
 
 bool ExperimentResult::write_json(const std::string& path) const {
@@ -428,9 +377,9 @@ bool ExperimentResult::write_json(const std::string& path) const {
 ExperimentRunner::ExperimentRunner(ExperimentSpec spec) : spec_(std::move(spec)) {}
 
 ExperimentResult ExperimentRunner::run() {
-  // The grid's rows: legacy apps first, then parsed workload specs; all
-  // eight Table IV apps when neither list names anything.
-  std::vector<trace::Workload> workloads(spec_.apps.begin(), spec_.apps.end());
+  // The grid's rows: the parsed workload specs, or all eight Table IV apps
+  // when the list is empty.
+  std::vector<trace::Workload> workloads;
   for (const std::string& spec_text : spec_.workloads) {
     workloads.push_back(trace::Workload::parse(spec_text));
   }
@@ -448,9 +397,10 @@ ExperimentResult ExperimentRunner::run() {
   std::unique_ptr<ResultStore> store;
   if (!sweep.store_dir.empty()) store = std::make_unique<ResultStore>(sweep.store_dir);
 
-  // Cell identity: the pipeline configuration hash plus the sweep replay
-  // plan (NN sampling, shard count, warmup) — a cell is only reused when
-  // it would provably reproduce the stored numbers.
+  // Cell identity: the pipeline configuration hash, the sweep replay plan
+  // (NN sampling, shard count, warmup), the DART_QUANT default the `dart`
+  // specs inherit, and the simulator's SimStats-semantics generation — a
+  // cell is only reused when it would provably reproduce the stored numbers.
   auto config_of = [&](const trace::Workload& w) {
     std::ostringstream os;
     os << pipeline_cache_key(w, spec_.pipeline) << "/nn" << spec_.nn_trigger_sample << "/sh"
@@ -460,6 +410,8 @@ ExperimentResult ExperimentRunner::run() {
     } else {
       os << sweep.shard_warmup;
     }
+    os << "/q" << tabular::quant_mode_name(quant_mode_from_env()) << "/e"
+       << sim::kEngineGeneration;
     return os.str();
   };
 

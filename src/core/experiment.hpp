@@ -1,6 +1,6 @@
 // First-class experiment API for the prefetching evaluation (Figs. 12-14,
-// Table IX): an ExperimentSpec names a grid of apps x prefetcher specs, and
-// ExperimentRunner schedules the individual (app, prefetcher) cells on the
+// Table IX): an ExperimentSpec names a grid of workloads x prefetcher specs,
+// and ExperimentRunner schedules the individual (app, prefetcher) cells on the
 // shared common::thread_pool — finer-grained than one thread per app, so a
 // wide prefetcher list keeps every core busy even with few apps.
 //
@@ -61,14 +61,13 @@ struct SweepOptions {
   static SweepOptions from_env();
 };
 
-/// The experiment grid: apps x prefetcher specs, plus shared sim/pipeline
-/// configuration.
+/// The experiment grid: workloads x prefetcher specs, plus shared
+/// sim/pipeline configuration.
 struct ExperimentSpec {
-  std::vector<trace::App> apps;  ///< legacy Table IV app subset
-  /// Workload spec strings (trace/workloads.hpp grammar): app names,
-  /// "trace:zipfian,theta=0.99,footprint=64M", "tracefile:path=...". Run
-  /// after `apps`; when BOTH lists are empty the grid defaults to all eight
-  /// Table IV apps.
+  /// The grid's rows, as workload spec strings (trace/workloads.hpp
+  /// grammar): Table IV app names ("462.libquantum"),
+  /// "trace:zipfian,theta=0.99,footprint=64M", "tracefile:path=...". Empty
+  /// means all eight Table IV apps.
   std::vector<std::string> workloads;
   /// Prefetcher spec strings (sim/registry.hpp grammar). Defaults to the
   /// paper's evaluated set; legacy display names are registry aliases.
@@ -91,11 +90,15 @@ struct ExperimentSpec {
   /// in-memory single-shot behavior.
   SweepOptions sweep;
 
-  /// Env-driven defaults: DART_APPS selects the app subset, DART_WORKLOADS
-  /// adds workload specs (';'-separated), and DART_PREFETCHERS accepts
+  /// Env-driven defaults: `workloads` holds the DART_APPS names first, then
+  /// the DART_WORKLOADS specs (';'-separated), and DART_PREFETCHERS accepts
   /// arbitrary prefetcher spec strings (';'-separated; plain ','-separated
   /// name lists also work).
   static ExperimentSpec bench_defaults();
+  /// The DART_APPS subset, in order; empty when unset.
+  static std::vector<trace::App> env_apps();
+  /// The DART_WORKLOADS specs, validated and canonical; empty when unset.
+  static std::vector<std::string> env_workloads();
 };
 
 /// One (app, prefetcher) result cell.
@@ -145,13 +148,9 @@ struct ExperimentResult {
   /// grid, the three counts sum to `cells.size()`.
   std::size_t count(CellStatus status) const;
 
-  /// CSV round-trip. `tag` is an opaque first-line comment (cache keying);
-  /// read_csv returns false when the file is missing or the tag mismatches.
-  bool write_csv(const std::string& path, const std::string& tag = "") const;
-  /// Parses a write_csv file; returns false on missing file, tag mismatch
-  /// or malformed rows (never throws for those cases).
-  static bool read_csv(const std::string& path, const std::string& expected_tag,
-                       ExperimentResult* out);
+  /// Writes the cells as CSV (one row per cell). An export only: sweeps
+  /// persist and resume through the result store (SweepOptions::store_dir).
+  bool write_csv(const std::string& path) const;
   /// Writes the cells as a JSON array (one object per cell).
   bool write_json(const std::string& path) const;
 };

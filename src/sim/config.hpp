@@ -7,6 +7,11 @@
 
 namespace dart::sim {
 
+/// Simulator-semantics generation. Part of every sweep cell key, so a result
+/// store written by an older engine is never reused: bump it whenever
+/// SimStats definitions or event ordering change (DESIGN.md §8).
+inline constexpr std::uint32_t kEngineGeneration = 2;
+
 struct SimConfig {
   // CPU: 4 GHz, 4-wide OoO, 256-entry ROB, 64-entry LSQ.
   std::size_t issue_width = 4;

@@ -358,7 +358,7 @@ TEST(ArtifactCache, ExperimentRunnerSkipsTrainingOnSecondSweep) {
   std::filesystem::remove_all(dir);
 
   core::ExperimentSpec spec;
-  spec.apps = {trace::App::kLibquantum};
+  spec.workloads = {"462.libquantum"};
   spec.prefetchers = {"dart:variant=s"};
   spec.pipeline.raw_accesses = 30000;
   spec.pipeline.prep.max_samples = 400;

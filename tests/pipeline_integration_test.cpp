@@ -79,7 +79,7 @@ TEST(PipelineIntegration, TabularizeHonorsVariantTables) {
 TEST(Experiment, RunsRuleBasedSweep) {
   ExperimentSpec spec;
   spec.pipeline = tiny_options();
-  spec.apps = {trace::App::kLibquantum};
+  spec.workloads = {"462.libquantum"};
   spec.prefetchers = {"NextLine", "BO", "ISB", "Stride"};
   spec.parallel = false;
   const ExperimentResult result = ExperimentRunner(spec).run();
@@ -98,7 +98,7 @@ TEST(Experiment, RunsRuleBasedSweep) {
 TEST(Experiment, DartBeatsHighLatencyNnOnRegularApp) {
   ExperimentSpec spec;
   spec.pipeline = tiny_options();
-  spec.apps = {trace::App::kLibquantum};
+  spec.workloads = {"462.libquantum"};
   spec.prefetchers = {"DART", "TransFetch"};
   spec.parallel = false;
   const ExperimentResult result = ExperimentRunner(spec).run();

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
+#include "bench_common.hpp"
 #include "core/configs.hpp"
 #include "core/experiment.hpp"
+#include "prefetch_sweep.hpp"
 #include "sim/registry.hpp"
+#include "trace/workloads.hpp"
 
 namespace dart {
 namespace {
@@ -126,6 +134,11 @@ TEST(SplitSpecList, HandlesLegacyAndSpecLists) {
 
 // ------------------------------------------------------ experiment runner
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
 core::PipelineOptions smoke_options() {
   core::PipelineOptions o = core::PipelineOptions::bench_defaults();
   o.raw_accesses = 60000;
@@ -146,7 +159,7 @@ core::PipelineOptions smoke_options() {
 TEST(ExperimentRunner, ConstructsEveryBuiltinPrefetcher) {
   core::ExperimentSpec spec;
   spec.pipeline = smoke_options();
-  spec.apps = {trace::App::kLibquantum};
+  spec.workloads = {"462.libquantum"};
   spec.prefetchers = {"NextLine",   "Stride",    "BO",     "ISB",  "TransFetch",
                       "TransFetch-I", "Voyager", "Voyager-I", "DART-S", "DART", "DART-L"};
   spec.nn_trigger_sample = 64;  // keep untrained NN inference cheap
@@ -169,7 +182,7 @@ TEST(ExperimentRunner, ConstructsEveryBuiltinPrefetcher) {
 TEST(ExperimentRunner, DisambiguatesCollidingDisplayNames) {
   core::ExperimentSpec spec;
   spec.pipeline = smoke_options();
-  spec.apps = {trace::App::kLibquantum};
+  spec.workloads = {"462.libquantum"};
   spec.prefetchers = {"stride:table=64", "stride:table=1024", "nextline"};
   spec.parallel = false;
   const core::ExperimentResult result = core::ExperimentRunner(spec).run();
@@ -185,43 +198,112 @@ TEST(ExperimentRunner, DisambiguatesCollidingDisplayNames) {
 TEST(ExperimentRunner, RejectsUnknownSpecBeforeTraining) {
   core::ExperimentSpec spec;
   spec.pipeline = smoke_options();
-  spec.apps = {trace::App::kLibquantum};
+  spec.workloads = {"462.libquantum"};
   spec.prefetchers = {"BO", "nosuch:param=1"};
   EXPECT_THROW(core::ExperimentRunner(spec).run(), std::invalid_argument);
 }
 
-TEST(ExperimentResult, CsvAndJsonRoundTrip) {
+TEST(ExperimentRunner, SecondRunIntoSameStoreReusesEveryCell) {
   core::ExperimentSpec spec;
   spec.pipeline = smoke_options();
-  spec.apps = {trace::App::kLibquantum};
+  spec.workloads = {"462.libquantum"};
+  spec.prefetchers = {"NextLine", "stride:table=64,degree=4", "DART-S"};
+  spec.parallel = false;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "dart_registry_test_store";
+  std::filesystem::remove_all(dir);
+  spec.sweep.store_dir = dir.string();
+
+  const core::ExperimentResult first = core::ExperimentRunner(spec).run();
+  EXPECT_EQ(first.count(core::CellStatus::kDone), spec.prefetchers.size());
+  const core::ExperimentResult second = core::ExperimentRunner(spec).run();
+  EXPECT_EQ(second.count(core::CellStatus::kSkipped), spec.prefetchers.size());
+
+  // The reused cells export exactly what the simulated ones did.
+  const std::string first_csv = (dir / "first.csv").string();
+  const std::string second_csv = (dir / "second.csv").string();
+  ASSERT_TRUE(first.write_csv(first_csv));
+  ASSERT_TRUE(second.write_csv(second_csv));
+  EXPECT_EQ(slurp(first_csv), slurp(second_csv));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ExperimentResult, CsvAndJsonExport) {
+  core::ExperimentSpec spec;
+  spec.pipeline = smoke_options();
+  spec.workloads = {"462.libquantum"};
   spec.prefetchers = {"NextLine", "stride:table=64,degree=4"};
   spec.parallel = false;
   const core::ExperimentResult result = core::ExperimentRunner(spec).run();
 
   const std::string csv = "registry_test_cells.csv";
-  const std::string tag = "#tag registry-test";
-  ASSERT_TRUE(result.write_csv(csv, tag));
-  core::ExperimentResult loaded;
-  EXPECT_FALSE(core::ExperimentResult::read_csv(csv, "#tag other", &loaded));
-  ASSERT_TRUE(core::ExperimentResult::read_csv(csv, tag, &loaded));
-  ASSERT_EQ(loaded.cells.size(), result.cells.size());
-  // The comma-bearing spec string survives CSV quoting.
-  EXPECT_EQ(loaded.cells[1].spec, "stride:table=64,degree=4");
-  EXPECT_EQ(loaded.cells[1].prefetcher, "Stride");
-  EXPECT_EQ(loaded.cells[1].stats.cycles, result.cells[1].stats.cycles);
-  EXPECT_NEAR(loaded.cells[0].baseline_ipc, result.cells[0].baseline_ipc, 1e-9);
+  ASSERT_TRUE(result.write_csv(csv));
+  const std::string text = slurp(csv);
+  EXPECT_EQ(text.rfind("spec,prefetcher,app,baseline_ipc,", 0), 0u);  // header first
+  // The comma-bearing spec string is quoted.
+  EXPECT_NE(text.find("\n\"stride:table=64,degree=4\",Stride,462.libquantum,"),
+            std::string::npos);
 
   const std::string json = "registry_test_cells.json";
   ASSERT_TRUE(result.write_json(json));
-  std::FILE* f = std::fopen(json.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string content(1 << 16, '\0');
-  content.resize(std::fread(content.data(), 1, content.size(), f));
-  std::fclose(f);
+  const std::string content = slurp(json);
   EXPECT_NE(content.find("\"prefetcher\": \"Stride\""), std::string::npos);
   EXPECT_NE(content.find("\"baseline_ipc\""), std::string::npos);
   std::remove(csv.c_str());
   std::remove(json.c_str());
+}
+
+// ------------------------------------------------------- bench sweep grid
+
+/// Sets (value != nullptr) or unsets one environment variable for a scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      ::setenv(name_, old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_old_ = false;
+  std::string old_;
+};
+
+TEST(PrefetchSweep, ExtraWorkloadsFollowTheTableIvApps) {
+  const std::string extra = "trace:uniform,footprint=64M";
+  const std::string extra_spec = trace::Workload::parse(extra).spec();
+  ScopedEnv workloads("DART_WORKLOADS", extra.c_str());
+  {
+    // DART_APPS unset: the Figs. 12-14 grid still spans all eight apps.
+    ScopedEnv apps("DART_APPS", nullptr);
+    const std::vector<std::string> rows = bench::prefetch_sweep_spec().workloads;
+    ASSERT_EQ(rows.size(), trace::all_apps().size() + 1);
+    for (std::size_t i = 0; i < trace::all_apps().size(); ++i) {
+      EXPECT_EQ(rows[i], trace::app_name(trace::all_apps()[i]));
+    }
+    EXPECT_EQ(rows.back(), extra_spec);
+    // DART_WORKLOADS never narrows the per-app benches.
+    EXPECT_EQ(bench::bench_apps().size(), trace::all_apps().size());
+  }
+  {
+    ScopedEnv apps("DART_APPS", "605.mcf");
+    EXPECT_EQ(bench::prefetch_sweep_spec().workloads,
+              (std::vector<std::string>{"605.mcf", extra_spec}));
+    EXPECT_EQ(bench::bench_apps(), std::vector<trace::App>{trace::App::kMcf});
+  }
 }
 
 }  // namespace

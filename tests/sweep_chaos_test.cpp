@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -310,6 +311,43 @@ TEST_F(SweepChaosTest, CrashResumeMergedOutputByteIdentical) {
     ASSERT_TRUE(resumed.write_csv(resumed_csv));
     EXPECT_EQ(slurp(resumed_csv), clean_bytes) << "after=" << after;
   }
+}
+
+TEST_F(SweepChaosTest, QuantModeJoinsTheCellKey) {
+  // The `dart` specs inherit DART_QUANT when they omit quant=, so a store
+  // written under int8 must not answer for a rerun under off.
+  ExperimentSpec spec = tiny_grid();
+  spec.workloads = {"trace:sequential,footprint=1M,stride=4"};
+  spec.prefetchers = {"BO", "DART-S"};
+  spec.pipeline.teacher_arch.layers = 1;
+  spec.pipeline.teacher_arch.dim = 16;
+  spec.pipeline.teacher_arch.heads = 2;
+  spec.pipeline.teacher_arch.ffn_dim = 32;
+  spec.pipeline.teacher_train.epochs = 0;  // untrained models: keys are under test
+  spec.pipeline.student_train.epochs = 0;
+  spec.pipeline.tab.tables = tabular::TableConfig::uniform(8, 1);
+  spec.pipeline.tab.max_train_samples = 100;
+  spec.sweep.store_dir = scratch_dir("quantkey");
+
+  const char* saved = std::getenv("DART_QUANT");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("DART_QUANT", "int8", 1);
+  const ExperimentResult int8 = ExperimentRunner(spec).run();
+  ::setenv("DART_QUANT", "off", 1);
+  const ExperimentResult off = ExperimentRunner(spec).run();
+  const ExperimentResult off_again = ExperimentRunner(spec).run();
+  if (saved != nullptr) {
+    ::setenv("DART_QUANT", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("DART_QUANT");
+  }
+
+  EXPECT_EQ(int8.count(CellStatus::kDone), 2u);
+  const ExperimentCell* dart = off.find("DART-S", "sequential");
+  ASSERT_NE(dart, nullptr);
+  EXPECT_EQ(dart->status, CellStatus::kDone);  // re-simulated, not reused
+  EXPECT_EQ(off.count(CellStatus::kSkipped), 0u);
+  EXPECT_EQ(off_again.count(CellStatus::kSkipped), 2u);  // same mode: reused
 }
 
 // ------------------------------------------------------------ sharded replay

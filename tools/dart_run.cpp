@@ -38,6 +38,7 @@
 #include <string>
 
 #include "common/env.hpp"
+#include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "nn/metrics.hpp"
@@ -45,7 +46,6 @@
 #include "core/pipeline.hpp"
 #include "io/artifact.hpp"
 #include "prefetch/nn_prefetchers.hpp"
-#include "serve/fault.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "sim/simulator.hpp"
@@ -172,18 +172,18 @@ int run_serve(const trace::Workload& workload, const io::ArtifactInfo& info,
   // otherwise every stream replays the workload the artifact was trained on.
   if (load.workloads.empty()) load.workloads = {workload};
 
-  // DART_FAULT arms the deterministic fault injector (serve/fault.hpp) for
+  // DART_FAULT arms the deterministic fault injector (common/fault.hpp) for
   // this serve run — the operator-facing way to rehearse overload and
   // reload failures against a real artifact.
   const std::string fault_spec = common::env_string("DART_FAULT", "");
   if (!fault_spec.empty()) {
-    serve::fault_injector().install(fault_spec);
+    common::fault_injector().install(fault_spec);
     std::printf("faults     : %s\n", fault_spec.c_str());
   }
 
   serve::PrefetchServer server(std::move(predictor), config);
   const serve::LoadReport report = serve::run_client_load(server, load);
-  if (!fault_spec.empty()) serve::fault_injector().clear();
+  if (!fault_spec.empty()) common::fault_injector().clear();
 
   std::string load_names;
   for (const trace::Workload& w : load.workloads) {

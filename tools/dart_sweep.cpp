@@ -14,7 +14,8 @@
 //
 // Flags override the matching environment knobs:
 //   --store DIR        result-store directory        (DART_SWEEP_DIR)
-//   --workloads LIST   ';'-separated workload specs  (DART_WORKLOADS)
+//   --workloads LIST   ';'-separated workload specs  (DART_WORKLOADS); replaces
+//                      the whole row list, DART_APPS rows included
 //   --prefetchers LIST ';'-separated prefetcher specs(DART_PREFETCHERS)
 //   --timeout-ms N     per-attempt wall-clock budget (DART_SWEEP_TIMEOUT_MS)
 //   --retries N        retries after first failure   (DART_SWEEP_RETRIES)
