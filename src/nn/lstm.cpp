@@ -135,7 +135,8 @@ Tensor Lstm::backward(const Tensor& grad_out) {
 // ---------------------------------------------------------------- predictor
 
 LstmPredictor::LstmPredictor(std::size_t addr_dim, std::size_t pc_dim, std::size_t hidden,
-                             std::size_t out_dim, std::uint64_t seed) {
+                             std::size_t out_dim, std::uint64_t seed)
+    : out_dim_(out_dim) {
   addr_embed_ = std::make_unique<Linear>(addr_dim, hidden, common::derive_seed(seed, 1),
                                          "lstm.addr_embed");
   pc_embed_ = std::make_unique<Linear>(pc_dim, hidden, common::derive_seed(seed, 2),

@@ -56,8 +56,11 @@ class LstmPredictor {
   std::vector<Param*> params();
   void zero_grad();
   std::size_t num_params();
+  /// DO: width of the logits `forward` returns.
+  std::size_t out_dim() const { return out_dim_; }
 
  private:
+  std::size_t out_dim_;
   std::unique_ptr<Linear> addr_embed_;
   std::unique_ptr<Linear> pc_embed_;
   std::unique_ptr<Lstm> lstm_;

@@ -8,7 +8,53 @@
 
 #include "pq/kmeans.hpp"
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#define DART_HASH_TREE_SIMD 1
+#else
+#define DART_HASH_TREE_SIMD 0
+#endif
+
 namespace dart::pq {
+
+#if DART_HASH_TREE_SIMD
+namespace {
+
+/// kPath3[m] = the 3-bit position (b0 b1 b2) a walk reaches after the top
+/// three levels of a block whose first seven decisions are the bits of m.
+struct Path3 {
+  std::uint8_t at[128];
+  constexpr Path3() : at() {
+    for (unsigned m = 0; m < 128; ++m) {
+      unsigned lane = 0, pos = 0;
+      for (int l = 0; l < 3; ++l) {
+        const unsigned bit = (m >> lane) & 1u;
+        pos = 2 * pos + bit;
+        lane = 2 * lane + 1 + bit;
+      }
+      at[m] = static_cast<std::uint8_t>(pos);
+    }
+  }
+};
+constexpr Path3 kPath3;
+
+/// The row's V <= 16 * W floats (W = 1 or 4), gathered by the block's
+/// split dims.
+template <int W>
+inline __m512 permute_row(const __m512 (&r)[W], __m512i dims) {
+  if constexpr (W == 1) {
+    // The zero-masking form with a full mask is the same vpermps; it spares
+    // GCC 12 a false -Wmaybe-uninitialized in the unmasked intrinsic.
+    return _mm512_maskz_permutexvar_ps(0xFFFF, dims, r[0]);
+  } else {
+    const __m512 lo = _mm512_permutex2var_ps(r[0], dims, r[1]);
+    const __m512 hi = _mm512_permutex2var_ps(r[2], dims, r[3]);
+    return _mm512_mask_blend_ps(_mm512_test_epi32_mask(dims, _mm512_set1_epi32(32)), lo, hi);
+  }
+}
+
+}  // namespace
+#endif
 
 void Encoder::encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
                            std::uint32_t* codes_out, std::size_t code_stride) const {
@@ -60,15 +106,7 @@ HashTreeEncoder::HashTreeEncoder(const nn::Tensor& prototypes) {
   std::vector<std::uint32_t> all(k_);
   std::iota(all.begin(), all.end(), 0);
   build(std::move(all), prototypes, 0);
-  // Uniform iff no leaf sits above the last level.
-  uniform_ = true;
-  const std::size_t internal = (1ULL << depth_) - 1;
-  for (std::size_t i = 0; i < internal; ++i) {
-    if (protos_[i] >= 0) {
-      uniform_ = false;
-      break;
-    }
-  }
+  index_tree();
 }
 
 HashTreeEncoder::HashTreeEncoder(std::vector<HotNode> nodes, std::vector<std::int32_t> leaves,
@@ -103,6 +141,11 @@ HashTreeEncoder::HashTreeEncoder(std::vector<HotNode> nodes, std::vector<std::in
     stack.push_back(2 * idx + 1);
     stack.push_back(2 * idx + 2);
   }
+  index_tree();
+}
+
+void HashTreeEncoder::index_tree() {
+  // Uniform iff no leaf sits above the last level.
   uniform_ = true;
   const std::size_t internal = (1ULL << depth_) - 1;
   for (std::size_t i = 0; i < internal; ++i) {
@@ -111,6 +154,34 @@ HashTreeEncoder::HashTreeEncoder(std::vector<HotNode> nodes, std::vector<std::in
       break;
     }
   }
+#if DART_HASH_TREE_SIMD
+  if (!uniform_ || depth_ == 0 || v_ > 64) return;
+  // Cut the levels into stages of 4; each node at a stage's top level roots
+  // one block. Heap node (level l, position p) sits at 2^l - 1 + p, so the
+  // block rooted at position `pos` of level `top` holds, at relative level
+  // rl, the heap nodes 2^(top+rl) - 1 + (pos << rl) + q for q < 2^rl.
+  for (std::size_t top = 0; top < depth_; top += 4) {
+    const std::size_t levels = std::min<std::size_t>(4, depth_ - top);
+    stages_.push_back({static_cast<std::uint32_t>(blocks_.size()),
+                       static_cast<std::uint32_t>(levels)});
+    for (std::size_t pos = 0; pos < (1ULL << top); ++pos) {
+      Block b;
+      for (std::size_t lane = 0; lane < 16; ++lane) {
+        b.split_dim[lane] = 0;
+        b.threshold[lane] = std::numeric_limits<float>::infinity();
+      }
+      for (std::size_t rl = 0; rl < levels; ++rl) {
+        for (std::size_t q = 0; q < (1ULL << rl); ++q) {
+          const HotNode& nd = hot_[(1ULL << (top + rl)) - 1 + (pos << rl) + q];
+          const std::size_t lane = (1ULL << rl) - 1 + q;
+          b.split_dim[lane] = static_cast<std::int32_t>(nd.split_dim);
+          b.threshold[lane] = nd.threshold;
+        }
+      }
+      blocks_.push_back(b);
+    }
+  }
+#endif
 }
 
 void HashTreeEncoder::build(std::vector<std::uint32_t> protos, const nn::Tensor& prototypes,
@@ -170,8 +241,69 @@ std::uint32_t HashTreeEncoder::encode(const float* row) const {
   return static_cast<std::uint32_t>(protos_[idx]);
 }
 
+#if DART_HASH_TREE_SIMD
+template <int W>
+void HashTreeEncoder::walk_blocks(const float* rows, std::size_t row_stride, std::size_t n,
+                                  std::uint32_t* codes_out, std::size_t code_stride) const {
+  // Chunks of rows advance stage by stage so their dependency chains
+  // (block load -> permute -> compare -> next block) overlap. A short last
+  // chunk re-walks its final row in the spare slots.
+  constexpr std::size_t kChunk = 8;
+  __mmask16 load_mask[W];
+  std::size_t load_at[W];  // a register past the row loads nothing, from the row start
+  for (int w = 0; w < W; ++w) {
+    const std::size_t lo = 16 * static_cast<std::size_t>(w);
+    const std::size_t len = v_ > lo ? std::min<std::size_t>(16, v_ - lo) : 0;
+    load_mask[w] = static_cast<__mmask16>((1u << len) - 1u);
+    load_at[w] = len > 0 ? lo : 0;
+  }
+  const Block* blocks = blocks_.data();
+  const std::int32_t* leaf = protos_.data() + ((1ULL << depth_) - 1);  // last level
+  for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
+    const std::size_t c = std::min(kChunk, n - i0);
+    __m512 r[kChunk][W];
+    std::uint32_t pos[kChunk];
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < kChunk; ++j) {
+      const float* row = rows + (i0 + std::min(j, c - 1)) * row_stride;
+      for (int w = 0; w < W; ++w) r[j][w] = _mm512_maskz_loadu_ps(load_mask[w], row + load_at[w]);
+      pos[j] = 0;
+    }
+    for (const Stage& st : stages_) {
+      const Block* stage_blocks = blocks + st.first;
+      const unsigned drop = 4 - st.levels;
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < kChunk; ++j) {
+        const Block& b = stage_blocks[pos[j]];
+        const __m512 x = permute_row<W>(r[j], _mm512_load_si512(b.split_dim));
+        // The same `x > threshold` as the scalar walk; false for NaN.
+        const unsigned m = _mm512_cmp_ps_mask(x, _mm512_load_ps(b.threshold), _CMP_GT_OQ);
+        const unsigned t = kPath3.at[m & 0x7fu];
+        const unsigned p = (t << 1) | ((m >> (7 + t)) & 1u);
+        pos[j] = (pos[j] << st.levels) | (p >> drop);
+      }
+    }
+    for (std::size_t j = 0; j < c; ++j) {
+      codes_out[(i0 + j) * code_stride] = static_cast<std::uint32_t>(leaf[pos[j]]);
+    }
+  }
+}
+#endif
+
 void HashTreeEncoder::encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
                                    std::uint32_t* codes_out, std::size_t code_stride) const {
+#if DART_HASH_TREE_SIMD
+  if (!stages_.empty()) {
+    if (v_ <= 16) {
+      walk_blocks<1>(rows, row_stride, n, codes_out, code_stride);
+    } else {
+      walk_blocks<4>(rows, row_stride, n, codes_out, code_stride);
+    }
+    return;
+  }
+#endif
+  // Portable walk: the scalar twin of walk_blocks, and the path for
+  // non-uniform trees and rows wider than 64 floats.
   const HotNode* hot = hot_.data();
   const std::int32_t* leaf = protos_.data();
   if (uniform_) {

@@ -44,19 +44,24 @@ struct NnAdapterOptions {
   std::size_t trigger_sample = 1;
 };
 
-/// Shared history-window + bitmap-decoding machinery.
+/// Shared history-window + bitmap-decoding machinery. Steady-state
+/// triggers allocate nothing: the segmented inputs, the probabilities and
+/// the fired-bit list are members reused across calls.
 class NnPrefetcherBase : public sim::Prefetcher {
  public:
-  explicit NnPrefetcherBase(const NnAdapterOptions& options);
+  /// `out_dim` is the wrapped predictor's output width (DO).
+  NnPrefetcherBase(const NnAdapterOptions& options, std::size_t out_dim);
 
   void on_access(std::uint64_t block, std::uint64_t pc, bool hit, std::uint64_t cycle,
                  std::vector<std::uint64_t>& out) final;
+  /// No adapter trains on fills, so the simulator skips demand-fill events.
+  bool trains_on_fill() const final { return false; }
   std::size_t prediction_latency() const final { return opts_.latency; }
 
  protected:
-  /// Runs the wrapped predictor on [1,T,S] inputs; returns [1, DO]
-  /// probabilities.
-  virtual nn::Tensor predict(const nn::Tensor& addr, const nn::Tensor& pc) = 0;
+  /// Runs the wrapped predictor on one sample's [T, S] segmented inputs
+  /// (row-major, contiguous) and writes its DO probabilities to `probs`.
+  virtual void predict_into(const float* addr, const float* pc, float* probs) = 0;
 
   NnAdapterOptions opts_;
 
@@ -67,6 +72,10 @@ class NnPrefetcherBase : public sim::Prefetcher {
   std::size_t hist_count_ = 0;
   std::uint64_t next_allowed_cycle_ = 0;
   std::uint64_t access_counter_ = 0;
+  std::vector<float> addr_;   ///< [T, addr_segments]
+  std::vector<float> pcs_;    ///< [T, pc_segments]
+  std::vector<float> probs_;  ///< [DO]
+  std::vector<std::pair<float, std::size_t>> fired_;
 };
 
 class DartPrefetcher final : public NnPrefetcherBase {
@@ -78,10 +87,11 @@ class DartPrefetcher final : public NnPrefetcherBase {
   std::string name() const override { return name_; }
 
  protected:
-  nn::Tensor predict(const nn::Tensor& addr, const nn::Tensor& pc) override;
+  void predict_into(const float* addr, const float* pc, float* probs) override;
 
  private:
   std::shared_ptr<const tabular::TabularPredictor> predictor_;
+  tabular::TabularArch workspace_demand_;  ///< sizes the per-thread workspace
   std::string name_;
 };
 
@@ -96,7 +106,7 @@ class AttentionPrefetcher final : public NnPrefetcherBase {
   bool shares_mutable_model() const override { return true; }
 
  protected:
-  nn::Tensor predict(const nn::Tensor& addr, const nn::Tensor& pc) override;
+  void predict_into(const float* addr, const float* pc, float* probs) override;
 
  private:
   std::shared_ptr<nn::AddressPredictor> model_;
@@ -114,7 +124,7 @@ class LstmPrefetcher final : public NnPrefetcherBase {
   bool shares_mutable_model() const override { return true; }
 
  protected:
-  nn::Tensor predict(const nn::Tensor& addr, const nn::Tensor& pc) override;
+  void predict_into(const float* addr, const float* pc, float* probs) override;
 
  private:
   std::shared_ptr<nn::LstmPredictor> model_;

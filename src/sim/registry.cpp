@@ -37,6 +37,7 @@ class RelabeledPrefetcher final : public Prefetcher {
   void on_fill(std::uint64_t block, bool was_prefetch) override {
     inner_->on_fill(block, was_prefetch);
   }
+  bool trains_on_fill() const override { return inner_->trains_on_fill(); }
   std::size_t prediction_latency() const override { return inner_->prediction_latency(); }
   std::size_t storage_bytes() const override { return inner_->storage_bytes(); }
   bool shares_mutable_model() const override { return inner_->shares_mutable_model(); }

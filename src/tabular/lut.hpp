@@ -1,9 +1,9 @@
 // Fixed lookup-table approximation of the output Sigmoid (Algorithm 1,
 // line 16; Meher [46]): uniform 256-entry table over [-8, 8], clamped
 // outside. One comparison + one lookup per scalar — no transcendentals at
-// query time. The inverse cell width is precomputed at construction and the
-// scalar operator is inline, so `apply_batch` compiles to a tight
-// multiply + clamp + gather loop.
+// query time. The inverse cell width is precomputed at construction; the
+// scalar operator is inline, and `apply_batch` runs 16 lanes at a time on
+// AVX-512 hosts with results bit-identical to it.
 #pragma once
 
 #include <array>
@@ -31,9 +31,8 @@ class SigmoidLut {
 
   /// Applies elementwise to `n` scalars at `x`, writing to `out` (which may
   /// alias `x` — used in-place on workspace buffers by the predictor).
-  void apply_batch(const float* x, std::size_t n, float* out) const {
-    for (std::size_t i = 0; i < n; ++i) out[i] = (*this)(x[i]);
-  }
+  /// Every output equals `(*this)(x[i])` bit for bit, NaN included.
+  void apply_batch(const float* x, std::size_t n, float* out) const;
 
   /// Applies elementwise to a tensor (out-of-place).
   nn::Tensor apply(const nn::Tensor& x) const;

@@ -6,6 +6,13 @@
 
 #include "common/thread_pool.hpp"
 
+#if defined(__AVX512F__) && defined(__FMA__)
+#include <immintrin.h>
+#define DART_LN_SIMD 1
+#else
+#define DART_LN_SIMD 0
+#endif
+
 namespace dart::tabular {
 
 namespace {
@@ -36,6 +43,57 @@ void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
   for (std::size_t i = 0; i < m; ++i) {
     const float* row = x + i * d;
     float* yrow = y + i * d;
+#if DART_LN_SIMD
+    // The scalar loop below in vector form, bit for bit with what a Release
+    // build (GCC, -O3 -march=native) makes of it (DESIGN.md §6). Its four
+    // accumulators are the lanes of one __m128, summed in the same j order
+    // and reduced as (s0+s1)+(s2+s3). The compiler vectorizes each run of 32
+    // floats of the `v += d*d` loop with the products rounded on their own,
+    // and contracts the iterations after the last full run, the tail and
+    // `t*g + b` into FMAs (-ffp-contract=fast is GCC's default).
+    auto lane_sum = [](__m128 s) {
+      alignas(16) float l[4];
+      _mm_store_ps(l, s);
+      return (l[0] + l[1]) + (l[2] + l[3]);
+    };
+    __m128 s4 = _mm_setzero_ps();
+    std::size_t j = 0;
+    for (; j + 4 <= d; j += 4) s4 = _mm_add_ps(s4, _mm_loadu_ps(row + j));
+    float mean = lane_sum(s4);
+    for (; j < d; ++j) mean += row[j];
+    mean /= static_cast<float>(d);
+    const __m128 mean4 = _mm_set1_ps(mean);
+    __m128 v4 = _mm_setzero_ps();
+    const std::size_t runs_end = d / 32 * 32;
+    for (j = 0; j < runs_end; j += 4) {
+      const __m128 dv = _mm_sub_ps(_mm_loadu_ps(row + j), mean4);
+      __m128 sq = _mm_mul_ps(dv, dv);
+      asm("" : "+x"(sq));  // keeps the compiler from fusing this product
+      v4 = _mm_add_ps(v4, sq);
+    }
+    for (; j + 4 <= d; j += 4) {
+      const __m128 dv = _mm_sub_ps(_mm_loadu_ps(row + j), mean4);
+      v4 = _mm_fmadd_ps(dv, dv, v4);
+    }
+    float var = lane_sum(v4);
+    for (; j < d; ++j) {
+      const float diff = row[j] - mean;
+      var = std::fma(diff, diff, var);
+    }
+    var /= static_cast<float>(d);
+    const float inv = 1.0f / std::sqrt(var + eps);
+    const __m512 mean16 = _mm512_set1_ps(mean);
+    const __m512 inv16 = _mm512_set1_ps(inv);
+    for (std::size_t jj = 0; jj < d; jj += 16) {
+      const __mmask16 k =
+          d - jj >= 16 ? __mmask16(0xFFFF) : static_cast<__mmask16>((1u << (d - jj)) - 1u);
+      const __m512 t =
+          _mm512_mul_ps(_mm512_sub_ps(_mm512_maskz_loadu_ps(k, row + jj), mean16), inv16);
+      _mm512_mask_storeu_ps(yrow + jj, k,
+                            _mm512_fmadd_ps(t, _mm512_maskz_loadu_ps(k, g + jj),
+                                            _mm512_maskz_loadu_ps(k, b + jj)));
+    }
+#else
     // 4-lane reductions: strict-FP serial sums chain at add latency; four
     // independent accumulators pipeline (and match what a vectorized sum
     // would compute, deterministically).
@@ -70,6 +128,7 @@ void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
     for (std::size_t jj = 0; jj < d; ++jj) {
       yrow[jj] = (row[jj] - mean) * inv * g[jj] + b[jj];
     }
+#endif
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <tuple>
+#include <vector>
 
 #include "pq/encoder.hpp"
 #include "pq/kmeans.hpp"
@@ -111,6 +114,64 @@ TEST_P(HashTreeSizes, AgreesWithExactOnClusteredData) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PrototypeCounts, HashTreeSizes, ::testing::Values(2, 4, 8, 16, 32));
+
+// encode_batch (a vector block walk on AVX-512 builds) against the per-row
+// scalar encode, bit for bit. K = 100 is non-uniform and V = 65 is wider
+// than the vector walk takes, so both exercise the portable fallback.
+class HashTreeBatch
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+/// `n` rows of width `v`, `stride` floats apart, mixing random values with
+/// NaN, +-inf and values exactly on one of the tree's split thresholds.
+std::vector<float> edge_rows(const HashTreeEncoder& enc, std::size_t n, std::size_t v,
+                             std::size_t stride, std::uint64_t seed) {
+  const nn::Tensor noise = nn::Tensor::randn({n * stride}, 1.5f, seed);
+  std::vector<float> rows(noise.data(), noise.data() + n * stride);
+  const auto& nodes = enc.nodes();
+  const auto& leaves = enc.leaves();
+  for (std::size_t i = 0; i < n; ++i) {
+    float* row = rows.data() + i * stride;
+    // Pin a handful of internal nodes' dims to their thresholds.
+    for (std::size_t h = 0; h < 4; ++h) {
+      const std::size_t idx = (i * 131 + h * 17) % nodes.size();
+      if (leaves[idx] < 0) row[nodes[idx].split_dim] = nodes[idx].threshold;
+    }
+    const std::size_t j = i % v;
+    if (i % 5 == 1) row[j] = std::numeric_limits<float>::quiet_NaN();
+    if (i % 5 == 2) row[j] = std::numeric_limits<float>::infinity();
+    if (i % 5 == 3) row[j] = -std::numeric_limits<float>::infinity();
+  }
+  return rows;
+}
+
+TEST_P(HashTreeBatch, MatchesPerRowEncode) {
+  const auto [k, v] = GetParam();
+  const HashTreeEncoder built(nn::Tensor::randn({k, v}, 1.0f, 7 + k + v));
+  // The deserialization constructor must derive the same batch path.
+  const HashTreeEncoder reloaded(built.nodes(), built.leaves(), k, v);
+  const std::size_t stride = v + 3;  // rows of a wider matrix
+  const std::size_t code_stride = 3;
+  constexpr std::uint32_t kUntouched = 0xDEADBEEFu;
+  for (const std::size_t n : {1, 7, 8, 9, 16, 40}) {
+    const std::vector<float> rows = edge_rows(built, n, v, stride, 100 + n);
+    for (const HashTreeEncoder* enc : {&built, &reloaded}) {
+      for (const std::size_t cs : {std::size_t{1}, code_stride}) {
+        std::vector<std::uint32_t> codes(n * cs, kUntouched);
+        enc->encode_batch(rows.data(), stride, n, codes.data(), cs);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(codes[i * cs], built.encode(rows.data() + i * stride))
+              << "K=" << k << " V=" << v << " n=" << n << " row " << i << " code_stride " << cs;
+          for (std::size_t g = 1; g < cs; ++g) ASSERT_EQ(codes[i * cs + g], kUntouched);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, HashTreeBatch,
+    ::testing::Combine(::testing::Values(16, 64, 128, 256, 1024, 100),
+                       ::testing::Values(1, 4, 8, 16, 17, 32, 64, 65)));
 
 TEST(ProductQuantizer, ReconstructionIsNearestPrototypeConcat) {
   nn::Tensor data = clustered_data(200, 8, 4, 7);

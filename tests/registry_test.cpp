@@ -12,8 +12,10 @@
 #include "bench_common.hpp"
 #include "core/configs.hpp"
 #include "core/experiment.hpp"
+#include "prefetch/nn_prefetchers.hpp"
 #include "prefetch_sweep.hpp"
 #include "sim/registry.hpp"
+#include "synthetic_model.hpp"
 #include "trace/workloads.hpp"
 
 namespace dart {
@@ -101,6 +103,17 @@ TEST(PrefetcherRegistry, BuildsParameterizedRuleBasedPrefetchers) {
   // label= renames a prefetcher for sweeps over one type.
   auto labeled = sim::make_prefetcher("stride:table=1024,label=Stride-1K");
   EXPECT_EQ(labeled->name(), "Stride-1K");
+}
+
+// Only prefetchers that learn from fills make the simulator queue demand
+// fills; a label= rename and the NN adapters must not ask for them.
+TEST(PrefetcherRegistry, TrainsOnFillFollowsTheWrappedPrefetcher) {
+  EXPECT_FALSE(sim::make_prefetcher("stride:label=s")->trains_on_fill());
+  EXPECT_TRUE(sim::make_prefetcher("bo:label=b")->trains_on_fill());
+  auto predictor = std::make_shared<const tabular::TabularPredictor>(
+      bench::synthetic_predictor(core::paper_student_config()));
+  prefetch::DartPrefetcher dart(predictor, prefetch::NnAdapterOptions{});
+  EXPECT_FALSE(dart.trains_on_fill());
 }
 
 TEST(PrefetcherRegistry, ModelBackedSpecsRequireContext) {

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "nn/linear.hpp"
 #include "nn/ops.hpp"
 #include "tabular/attention_kernel.hpp"
 #include "tabular/linear_kernel.hpp"
 #include "tabular/lut.hpp"
+#include "tabular/tabular_predictor.hpp"
 
 namespace dart::tabular {
 namespace {
@@ -258,11 +262,145 @@ TEST(SigmoidLut, MonotonicAndClamped) {
   }
 }
 
+/// The scalar LayerNorm loop of LnParams::apply_into, verbatim: the portable
+/// path, and the loop whose compiled form the vector path reproduces.
+void reference_layernorm(const LnParams& ln, const float* x, float* y, std::size_t m) {
+  const std::size_t d = ln.gamma.numel();
+  const float* g = ln.gamma.data();
+  const float* b = ln.beta.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* row = x + i * d;
+    float* yrow = y + i * d;
+    float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+    std::size_t j = 0;
+    for (; j + 4 <= d; j += 4) {
+      s0 += row[j];
+      s1 += row[j + 1];
+      s2 += row[j + 2];
+      s3 += row[j + 3];
+    }
+    float mean = (s0 + s1) + (s2 + s3);
+    for (; j < d; ++j) mean += row[j];
+    mean /= static_cast<float>(d);
+    float v0 = 0.0f, v1 = 0.0f, v2 = 0.0f, v3 = 0.0f;
+    j = 0;
+    for (; j + 4 <= d; j += 4) {
+      const float d0 = row[j] - mean, d1 = row[j + 1] - mean;
+      const float d2 = row[j + 2] - mean, d3 = row[j + 3] - mean;
+      v0 += d0 * d0;
+      v1 += d1 * d1;
+      v2 += d2 * d2;
+      v3 += d3 * d3;
+    }
+    float var = (v0 + v1) + (v2 + v3);
+    for (; j < d; ++j) {
+      const float diff = row[j] - mean;
+      var += diff * diff;
+    }
+    var /= static_cast<float>(d);
+    const float inv = 1.0f / std::sqrt(var + ln.eps);
+    for (std::size_t jj = 0; jj < d; ++jj) {
+      yrow[jj] = (row[jj] - mean) * inv * g[jj] + b[jj];
+    }
+  }
+}
+
+/// The same loop with the FMA contractions of a Release build spelled out
+/// (DESIGN.md §6): each run of 32 floats of the variance sum rounds its
+/// products on their own; the iterations after it, the tail and the output
+/// are FMAs. This is the arithmetic of the AVX-512 path.
+void contracted_layernorm(const LnParams& ln, const float* x, float* y, std::size_t m) {
+  const std::size_t d = ln.gamma.numel();
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* row = x + i * d;
+    float* yrow = y + i * d;
+    float s[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+    std::size_t j = 0;
+    for (; j + 4 <= d; j += 4) {
+      for (std::size_t l = 0; l < 4; ++l) s[l] += row[j + l];
+    }
+    float mean = (s[0] + s[1]) + (s[2] + s[3]);
+    for (; j < d; ++j) mean += row[j];
+    mean /= static_cast<float>(d);
+    float v[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+    const std::size_t runs_end = d / 32 * 32;
+    for (j = 0; j + 4 <= d; j += 4) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        const float diff = row[j + l] - mean;
+        if (j < runs_end) {
+          volatile float sq = diff * diff;  // rounded on its own
+          v[l] += sq;
+        } else {
+          v[l] = std::fma(diff, diff, v[l]);
+        }
+      }
+    }
+    float var = (v[0] + v[1]) + (v[2] + v[3]);
+    for (; j < d; ++j) var = std::fma(row[j] - mean, row[j] - mean, var);
+    var /= static_cast<float>(d);
+    const float inv = 1.0f / std::sqrt(var + ln.eps);
+    for (std::size_t jj = 0; jj < d; ++jj) {
+      yrow[jj] = std::fma((row[jj] - mean) * inv, ln.gamma[jj], ln.beta[jj]);
+    }
+  }
+}
+
+TEST(LnParams, ApplyIntoIsBitIdenticalToScalar) {
+  const std::size_t m = 9;
+  std::size_t scalar_mismatches = 0;  // widths where got != the verbatim loop
+  bool release_contraction = true;    // the verbatim loop compiled as in Release
+  for (std::size_t d : {32, 36, 64, 30}) {  // 30 leaves a 2-wide tail
+    LnParams ln;
+    ln.gamma = nn::Tensor::randn({d}, 1.0f, 40 + d);
+    ln.beta = nn::Tensor::randn({d}, 1.0f, 50 + d);
+    nn::Tensor x = nn::Tensor::randn({m, d}, 3.0f, 60 + d);
+    for (std::size_t j = 0; j < d; ++j) x.at(1, j) += 1000.0f;  // cancellation-prone row
+    const std::size_t bytes = m * d * sizeof(float);
+    std::vector<float> got(m * d), scalar(m * d);
+    ln.apply_into(x.data(), got.data(), m);
+    reference_layernorm(ln, x.data(), scalar.data(), m);
+    if (std::memcmp(got.data(), scalar.data(), bytes) != 0) ++scalar_mismatches;
+#if defined(__AVX512F__) && defined(__FMA__)
+    std::vector<float> contracted(m * d);
+    contracted_layernorm(ln, x.data(), contracted.data(), m);
+    EXPECT_EQ(std::memcmp(got.data(), contracted.data(), bytes), 0) << "d=" << d;
+    if (std::memcmp(scalar.data(), contracted.data(), bytes) != 0) release_contraction = false;
+#endif
+    ln.apply_into(x.data(), x.data(), m);  // in place, as the predictor calls it
+    EXPECT_EQ(std::memcmp(x.data(), got.data(), bytes), 0) << "d=" << d;
+  }
+  // The vector path equals the scalar loop as a Release build compiles it;
+  // -O1/-O2 and sanitizer builds contract that loop differently.
+  if (!release_contraction) {
+    GTEST_SKIP() << "this build contracts the scalar LayerNorm loop unlike a Release build "
+                    "(DESIGN.md §6); only the vector path's arithmetic was checked";
+  }
+  EXPECT_EQ(scalar_mismatches, 0u);
+}
+
+// apply_batch (16 lanes on AVX-512 builds) and apply against operator(),
+// bit for bit, at the clamp edges, +-inf and NaN, with n not a multiple of 16.
 TEST(SigmoidLut, ApplyMatchesScalar) {
   SigmoidLut lut;
-  nn::Tensor x = nn::Tensor::randn({32}, 3.0f, 23);
-  nn::Tensor y = lut.apply(x);
-  for (std::size_t i = 0; i < 32; ++i) EXPECT_FLOAT_EQ(y[i], lut(x[i]));
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> x = {-8.0f, 8.0f, -inf, inf, std::numeric_limits<float>::quiet_NaN(),
+                          std::nextafter(-8.0f, 0.0f), std::nextafter(8.0f, 0.0f),
+                          std::nextafter(-8.0f, -inf), std::nextafter(8.0f, inf), 0.0f, -0.0f};
+  const nn::Tensor noise = nn::Tensor::randn({26}, 6.0f, 29);
+  x.insert(x.end(), noise.data(), noise.data() + noise.numel());  // 37 values
+  std::vector<float> want(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) want[i] = lut(x[i]);
+  for (std::size_t n : {x.size(), std::size_t{16}, std::size_t{5}}) {
+    std::vector<float> got(n);
+    lut.apply_batch(x.data(), n, got.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0) << "n=" << n;
+  }
+  nn::Tensor xt({x.size()});
+  std::copy(x.begin(), x.end(), xt.data());
+  const nn::Tensor yt = lut.apply(xt);
+  EXPECT_EQ(std::memcmp(yt.data(), want.data(), want.size() * sizeof(float)), 0);
+  lut.apply_batch(x.data(), x.size(), x.data());  // in place, as the predictor calls it
+  EXPECT_EQ(std::memcmp(x.data(), want.data(), want.size() * sizeof(float)), 0);
 }
 
 }  // namespace
