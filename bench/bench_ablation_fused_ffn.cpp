@@ -5,7 +5,6 @@
 #include "bench_common.hpp"
 #include "nn/ops.hpp"
 #include "tabular/complexity.hpp"
-#include "tabular/fused_kernel.hpp"
 #include "tabular/linear_kernel.hpp"
 
 using namespace dart;
@@ -66,9 +65,13 @@ int main() {
     nn::Tensor two_stage = out_k.query(h_hat);
 
     // Fused single table (K=1024 single codebook).
-    tabular::FusedKernelConfig fc;
+    tabular::KernelConfig fc;
     fc.num_prototypes = 1024;
-    tabular::FusedKernel fused(flat.dim(1), exact.dim(1), stack, sample, fc);
+    fc.num_subspaces = 1;
+    fc.kmeans_iters = 12;
+    fc.seed = 47;
+    const tabular::LinearKernel fused =
+        tabular::LinearKernel::fused(flat.dim(1), exact.dim(1), stack, sample, fc);
     nn::Tensor fused_out = fused.query(sample);
 
     rows[i].cos_two = nn::ops::cosine_similarity(two_stage, exact);
@@ -81,12 +84,12 @@ int main() {
   for (std::size_t i = 0; i < apps.size(); ++i) {
     t.add_row({trace::app_name(apps[i]), common::TablePrinter::fmt(rows[i].cos_two, 4),
                common::TablePrinter::fmt(rows[i].cos_fused, 4), std::to_string(lat_two),
-               std::to_string(tabular::log2_ceil(1024) + 1)});
+               std::to_string(tabular::linear_kernel_latency(1024, 1))});
   }
   bench::emit(t, "ablation_fused_ffn.csv");
   std::printf("The fused table reaches ~%zu cycles (vs %zu for two kernels) at the cost\n"
               "of pure-VQ fidelity — quantifying the latency/accuracy trade the paper's\n"
               "conclusion proposes to explore.\n",
-              tabular::log2_ceil(1024) + 1, lat_two);
+              tabular::linear_kernel_latency(1024, 1), lat_two);
   return 0;
 }

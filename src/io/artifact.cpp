@@ -753,20 +753,29 @@ ArtifactInfo read_artifact_info(const std::string& path) {
   });
 }
 
-std::uint64_t save_fused_artifact(const std::string& path, const tabular::FusedKernel& kernel,
+std::uint64_t save_fused_artifact(const std::string& path, const tabular::LinearKernel& kernel,
                                   const ArtifactMeta& meta) {
   return with_clean_errors(path, [&] {
+    if (kernel.num_subspaces() != 1) {
+      throw ArtifactError("a fused table has one codebook, this kernel has " +
+                          std::to_string(kernel.num_subspaces()));
+    }
+    const tabular::KernelConfig& c = kernel.config();
     ChunkWriter out;
     put_meta(out.chunk(kTagMeta), meta);
     ByteWriter& w = out.chunk(kTagFused);
     w.u64(kernel.in_dim());
     w.u64(kernel.out_dim());
-    w.u64(kernel.config().num_prototypes);
-    w.u8(encode_encoder_kind(kernel.config().encoder));
-    w.u64(kernel.config().kmeans_iters);
-    w.u64(kernel.config().seed);
-    w.tensor(kernel.table());
-    put_encoder(w, kernel.encoder());
+    w.u64(c.num_prototypes);
+    w.u8(encode_encoder_kind(c.encoder));
+    w.u64(c.kmeans_iters);
+    w.u64(c.seed);
+    // The [K, DO] table in ByteWriter::tensor's framing: ndim, extents, floats.
+    w.u32(2);
+    w.u64(c.num_prototypes);
+    w.u64(kernel.out_dim());
+    w.f32s(kernel.table().data(), kernel.table().size());
+    put_encoder(w, kernel.encoder(0));
     // The fused quantized mirror travels in its own QNTT chunk: extending
     // the FUSD payload would break old readers, which check r.done().
     if (kernel.quant_mode() != tabular::QuantMode::kOff) {
@@ -779,22 +788,29 @@ std::uint64_t save_fused_artifact(const std::string& path, const tabular::FusedK
   });
 }
 
-tabular::FusedKernel load_fused_artifact(const std::string& path, ArtifactInfo* info) {
-  return with_clean_errors(path, [&]() -> tabular::FusedKernel {
+tabular::LinearKernel load_fused_artifact(const std::string& path, ArtifactInfo* info) {
+  return with_clean_errors(path, [&]() -> tabular::LinearKernel {
     ChunkReader container(read_file(path));
     ByteReader r = container.require(kTagFused);
     const std::size_t in_dim = r.u64();
     const std::size_t out_dim = r.u64();
-    tabular::FusedKernelConfig config;
+    tabular::KernelConfig config;
     config.num_prototypes = r.u64();
+    config.num_subspaces = 1;
     config.encoder = decode_encoder_kind(r.u8());
     config.kmeans_iters = r.u64();
     config.seed = r.u64();
     nn::Tensor table = r.tensor();
-    std::unique_ptr<pq::Encoder> encoder = get_encoder(r);
+    if (table.ndim() != 2 || table.dim(0) != config.num_prototypes ||
+        table.dim(1) != out_dim) {
+      throw ArtifactError("fused table shape mismatch");
+    }
+    std::vector<std::unique_ptr<pq::Encoder>> encoders;
+    encoders.push_back(get_encoder(r));
     if (!r.done()) throw ArtifactError("trailing bytes in fused-kernel chunk");
-    tabular::FusedKernel kernel = tabular::FusedKernel::from_parts(
-        config, in_dim, out_dim, std::move(table), std::move(encoder));
+    tabular::LinearKernel kernel = tabular::LinearKernel::from_parts(
+        config, in_dim, out_dim, std::vector<float>(table.data(), table.data() + table.numel()),
+        std::move(encoders));
     if (container.has(kTagQuant)) {
       ByteReader q = container.require(kTagQuant);
       const tabular::QuantMode mode = decode_quant_mode(q.u8());
@@ -824,16 +840,6 @@ void TabularPredictor::save(const std::string& path) const {
 
 TabularPredictor TabularPredictor::load(const std::string& path) {
   return io::load_predictor_artifact(path);
-}
-
-void FusedKernel::save(const std::string& path) const {
-  io::ArtifactMeta meta;
-  meta.producer = "FusedKernel::save";
-  io::save_fused_artifact(path, *this, meta);
-}
-
-FusedKernel FusedKernel::load(const std::string& path) {
-  return io::load_fused_artifact(path);
 }
 
 }  // namespace dart::tabular

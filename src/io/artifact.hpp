@@ -27,7 +27,7 @@
 #include "io/bytes.hpp"
 #include "nn/transformer.hpp"
 #include "tabular/complexity.hpp"
-#include "tabular/fused_kernel.hpp"
+#include "tabular/linear_kernel.hpp"
 #include "tabular/tabular_predictor.hpp"
 #include "trace/preprocess.hpp"
 
@@ -103,14 +103,17 @@ tabular::TabularPredictor clone_predictor(const tabular::TabularPredictor& predi
 /// Throws ArtifactError on any container-level problem.
 ArtifactInfo read_artifact_info(const std::string& path);
 
-/// Writes a fused multi-layer table as a `.dart` artifact (FUSD chunk).
-/// Returns the content hash. Throws ArtifactError on I/O failure.
-std::uint64_t save_fused_artifact(const std::string& path, const tabular::FusedKernel& kernel,
+/// Writes a fused multi-layer table — a one-codebook LinearKernel, as built
+/// by LinearKernel::fused — as a `.dart` artifact (FUSD chunk). Returns the
+/// content hash. Throws ArtifactError on I/O failure or when the kernel has
+/// more than one codebook: the FUSD chunk has no C field.
+std::uint64_t save_fused_artifact(const std::string& path, const tabular::LinearKernel& kernel,
                                   const ArtifactMeta& meta = {});
 
-/// Loads a fused-kernel artifact saved by `save_fused_artifact`; bit-exact.
-/// Throws ArtifactError on malformed files.
-tabular::FusedKernel load_fused_artifact(const std::string& path, ArtifactInfo* info = nullptr);
+/// Loads a fused-table artifact saved by `save_fused_artifact` as a
+/// one-codebook LinearKernel; bit-exact. Throws ArtifactError on malformed
+/// files.
+tabular::LinearKernel load_fused_artifact(const std::string& path, ArtifactInfo* info = nullptr);
 
 // Shared config field codecs. The artifact chunks and the configuration
 // cache keys (core::pipeline_cache_key) serialize through the SAME

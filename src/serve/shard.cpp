@@ -21,13 +21,8 @@ namespace {
 static_assert(
     std::is_invocable_v<decltype(&tabular::TabularPredictor::forward_block_into),
                         const tabular::TabularPredictor&, const float*, const float*, std::size_t,
-                        float*, tabular::InferenceWorkspace&, std::vector<nn::Tensor>*>,
+                        float*, tabular::InferenceWorkspace&>,
     "serve shards require a const (immutable, concurrently shareable) tabular query path");
-
-/// Sub-block size for forward_block_into calls — mirrors the top-level
-/// batch split in TabularPredictor::forward: 16 samples keep the activation
-/// buffers L2-resident; larger blocks measurably spill (DESIGN.md §6).
-constexpr std::size_t kBlockSamples = 16;
 
 /// Empty-ring spins before the shard thread parks on its condition variable.
 constexpr int kSpinsBeforePark = 256;
@@ -170,10 +165,7 @@ void ShardEngine::maybe_adopt_epoch() {
   // The new model may be larger (e.g. DART-S -> DART-L); grow the arena at
   // this batch boundary, never mid-block. The arena only ever grows, so a
   // smaller model simply leaves slack.
-  tabular::TabularArch ta = current_.model->tabular_arch();
-  ta.float_slots *= kBlockSamples;
-  ta.code_slots *= kBlockSamples;
-  workspace_.ensure(ta);
+  workspace_.ensure(current_.model->tabular_arch(config_.batch_cap));
   stats_.reloads.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -212,12 +204,9 @@ void ShardEngine::run() {
   if (config_.pin_core >= 0) {
     common::pin_current_thread(static_cast<std::size_t>(config_.pin_core));
   }
-  // Size the arena once for the largest sub-block; hot-swaps re-ensure (the
+  // Size the arena once for the largest batch; hot-swaps re-ensure (the
   // arena only ever grows, so a larger model never overflows mid-batch).
-  tabular::TabularArch ta = current_.model->tabular_arch();
-  ta.float_slots *= kBlockSamples;
-  ta.code_slots *= kBlockSamples;
-  workspace_.ensure(ta);
+  workspace_.ensure(current_.model->tabular_arch(config_.batch_cap));
 
   std::vector<Request> batch(config_.batch_cap);
   int idle_spins = 0;
@@ -315,12 +304,8 @@ void ShardEngine::serve_batch(Request* batch, std::size_t n) {
     std::copy(batch[i].addr, batch[i].addr + addr_elems, staging_addr_.data() + i * addr_elems);
     std::copy(batch[i].pc, batch[i].pc + pc_elems, staging_pc_.data() + i * pc_elems);
   }
-  for (std::size_t s0 = 0; s0 < n; s0 += kBlockSamples) {
-    const std::size_t bn = std::min(kBlockSamples, n - s0);
-    model.forward_block_into(staging_addr_.data() + s0 * addr_elems,
-                             staging_pc_.data() + s0 * pc_elems, bn,
-                             staging_probs_.data() + s0 * a.out_dim, workspace_);
-  }
+  model.forward_block_into(staging_addr_.data(), staging_pc_.data(), n, staging_probs_.data(),
+                           workspace_);
 
   const std::uint64_t done_ns = now_ns();
   for (std::size_t i = 0; i < n; ++i) {

@@ -85,6 +85,31 @@ LinearKernel LinearKernel::from_parts(const KernelConfig& config, std::size_t in
   return kernel;
 }
 
+LinearKernel LinearKernel::fused(std::size_t in_dim, std::size_t out_dim,
+                                 const std::function<nn::Tensor(const nn::Tensor&)>& stack,
+                                 const nn::Tensor& training_rows, const KernelConfig& config) {
+  if (config.num_subspaces != 1) {
+    throw std::invalid_argument("LinearKernel::fused: a fused table has one codebook (C = 1)");
+  }
+  if (training_rows.ndim() != 2 || training_rows.dim(1) != in_dim) {
+    throw std::invalid_argument("LinearKernel::fused: training rows must be [M, DI]");
+  }
+  pq::KMeansOptions km;
+  km.max_iters = config.kmeans_iters;
+  km.seed = config.seed;
+  pq::KMeansResult res = pq::kmeans(training_rows, config.num_prototypes, km);
+  // Evaluate the full layer stack at every prototype: this row IS the table.
+  const nn::Tensor table = stack(res.centroids);
+  if (table.ndim() != 2 || table.dim(0) != config.num_prototypes || table.dim(1) != out_dim) {
+    throw std::invalid_argument("LinearKernel::fused: stack output shape mismatch");
+  }
+  std::vector<std::unique_ptr<pq::Encoder>> encoders;
+  encoders.push_back(pq::make_encoder(config.encoder, res.centroids));
+  return from_parts(config, in_dim, out_dim,
+                    std::vector<float>(table.data(), table.data() + table.numel()),
+                    std::move(encoders));
+}
+
 void LinearKernel::query_into(const float* rows, std::size_t n, std::size_t row_stride,
                               float* out, std::size_t out_stride,
                               InferenceWorkspace& ws) const {

@@ -10,9 +10,23 @@
 // (subspace, prototype) pair are contiguous, so aggregation is C row-copies/
 // row-adds of length DO — auto-vectorizable streaming adds instead of the
 // DO×C strided gathers a [DO][C][K] layout forces.
+//
+// A fused layer stack (the paper's §VIII future work: "converting multiple
+// layers into a single table") is the same kernel with one codebook. A
+// nonlinear stack such as FFN = Linear∘ReLU∘Linear does not decompose
+// additively across subspaces, so `fused` learns K full-width prototypes on
+// the stack's input rows and stores the stack's output at each of them:
+//
+//   table[k] = f(P_k),  query(x) = table[g(x)]
+//
+// With C = 1 the aggregation is one DO-wide row copy, so a query costs
+// log K + 1 cycles instead of two chained kernels' 2·(log K + log C + 1).
+// The price is plain vector-quantization error, which
+// bench_ablation_fused_ffn measures.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -54,6 +68,16 @@ class LinearKernel {
   static LinearKernel from_parts(const KernelConfig& config, std::size_t in_dim,
                                  std::size_t out_dim, std::vector<float> table,
                                  std::vector<std::unique_ptr<pq::Encoder>> encoders);
+
+  /// Collapses a whole layer stack into one table (see the file comment).
+  /// `stack` maps a [M, DI] batch to [M, DO]; its K prototypes are learned
+  /// on `training_rows` [M, DI] with `config.seed` itself (a one-codebook
+  /// table has no per-subspace seed). Throws std::invalid_argument unless
+  /// `config.num_subspaces == 1` and the rows and stack output have those
+  /// shapes.
+  static LinearKernel fused(std::size_t in_dim, std::size_t out_dim,
+                            const std::function<nn::Tensor(const nn::Tensor&)>& stack,
+                            const nn::Tensor& training_rows, const KernelConfig& config);
 
   /// Zero-allocation hot path: applies the kernel to `n` rows starting at
   /// `rows` (consecutive rows `row_stride` floats apart) and writes row i's
@@ -112,7 +136,8 @@ class LinearKernel {
   const KernelConfig& config() const { return config_; }
 
   /// Raw table in [C][K][DO] layout: entry ((c*K)+k)*DO+o = W_o,c · P_ck
-  /// (+ b_o when c == 0). Exposed for the golden-reference tests.
+  /// (+ b_o when c == 0); a fused kernel's entry k*DO+o is f(P_k)_o.
+  /// Exposed for serialization and the golden-reference tests.
   const std::vector<float>& table() const { return table_; }
   /// Per-subspace encoder (for the golden-reference tests).
   const pq::Encoder& encoder(std::size_t c) const { return *encoders_[c]; }

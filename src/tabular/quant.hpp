@@ -1,10 +1,11 @@
 // Quantized table aggregation (DESIGN.md §10, the MADDNESS lineage).
 //
-// A linear/fused kernel's [C][K][DO] output table is quantized per output
-// column to int16 or int8: column o stores integers q plus a float scale
-// s_o and a float offset z_o (the zero point, pre-multiplied by C and kept
-// in the float domain so it is applied exactly once per query). Aggregation
-// becomes C integer row-adds followed by one dequantization pass:
+// A linear kernel's [C][K][DO] output table (a fused one has C = 1) is
+// quantized per output column to int16 or int8: column o stores integers q
+// plus a float scale s_o and a float offset z_o (the zero point,
+// pre-multiplied by C and kept in the float domain so it is applied exactly
+// once per query). Aggregation becomes C integer row-adds followed by one
+// dequantization pass:
 //
 //   y_o = s_o * (q[0][code_0][o] + ... + q[C-1][code_{C-1}][o]) + z_o
 //

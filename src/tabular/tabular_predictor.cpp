@@ -17,16 +17,11 @@ namespace dart::tabular {
 
 namespace {
 
-/// Copies a [rows, width] workspace buffer into a freshly shaped stage
-/// tensor (introspection path only — the hot path passes stages=nullptr).
-void push_stage(std::vector<nn::Tensor>* stages, const float* buf, std::size_t rows,
-                std::size_t width) {
-  if (stages == nullptr) return;
-  nn::Tensor t(rows <= 1 ? std::vector<std::size_t>{width}
-                         : std::vector<std::size_t>{rows, width});
-  std::copy(buf, buf + rows * width, t.data());
-  stages->push_back(std::move(t));
-}
+// Layer-major sub-blocks of at most 16 samples: long enough to amortize
+// encoder calls (128+ rows each), small enough that the activation buffers
+// stay L2-resident — larger blocks measurably degrade (the seed's "slower
+// past batch 16" effect was this spill).
+constexpr std::size_t kMaxBlockSamples = 16;
 
 }  // namespace
 
@@ -132,7 +127,7 @@ void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
   }
 }
 
-TabularArch TabularPredictor::tabular_arch() const {
+TabularArch TabularPredictor::tabular_arch(std::size_t samples) const {
   TabularArch ta;
   ta.seq_len = arch_.seq_len;
   ta.dim = arch_.dim;
@@ -165,17 +160,25 @@ TabularArch TabularPredictor::tabular_arch() const {
   }
   linear(head_kernel);
   ta.code_slots = codes + 16;
+  const std::size_t block = std::min(samples, kMaxBlockSamples);
+  ta.float_slots *= block;
+  ta.code_slots *= block;
   return ta;
 }
 
 void TabularPredictor::forward_block_into(const float* addr, const float* pc, std::size_t n,
-                                          float* probs_out, InferenceWorkspace& ws,
-                                          std::vector<nn::Tensor>* stages) const {
+                                          float* probs_out, InferenceWorkspace& ws) const {
   const std::size_t t_len = arch_.seq_len;
+  if (n > kMaxBlockSamples) {
+    for (std::size_t s0 = 0; s0 < n; s0 += kMaxBlockSamples) {
+      forward_block_into(addr + s0 * t_len * arch_.addr_dim, pc + s0 * t_len * arch_.pc_dim,
+                         std::min(kMaxBlockSamples, n - s0), probs_out + s0 * arch_.out_dim, ws);
+    }
+    return;
+  }
   const std::size_t d = arch_.dim;
   const std::size_t dh = d / arch_.heads;
   const std::size_t rows = n * t_len;  // all kernels operate row-wise
-  if (n != 1) stages = nullptr;
   const auto frame = ws.mark();
 
   // Embedding: two linear kernels over all rows + positional encoding
@@ -190,7 +193,6 @@ void TabularPredictor::forward_block_into(const float* addr, const float* pc, st
     const float* ts = tmp + s * t_len * d;
     for (std::size_t i = 0; i < t_len * d; ++i) xs[i] += ts[i] + pos[i];
   }
-  push_stage(stages, x, t_len, d);
 
   for (const auto& layer : layers) {
     const auto layer_frame = ws.mark();
@@ -198,7 +200,6 @@ void TabularPredictor::forward_block_into(const float* addr, const float* pc, st
     // no q/k/v split copies.
     float* qkv = ws.floats(rows * 3 * d);
     layer.qkv->query_into(x, rows, d, qkv, 3 * d, ws);
-    push_stage(stages, qkv, t_len, 3 * d);
     float* concat = ws.floats(rows * d);
     for (std::size_t h = 0; h < layer.heads.size(); ++h) {
       layer.heads[h]->query_batch_into(qkv + h * dh, 3 * d,          // q
@@ -206,12 +207,10 @@ void TabularPredictor::forward_block_into(const float* addr, const float* pc, st
                                        qkv + 2 * d + h * dh, 3 * d,  // v
                                        n, concat + h * dh, d, ws);
     }
-    push_stage(stages, concat, t_len, d);
     // Output projection + residual + LN1 (normalized back into x).
     layer.out_proj->query_into(concat, rows, d, tmp, d, ws);
     for (std::size_t i = 0; i < rows * d; ++i) tmp[i] += x[i];
     layer.ln1.apply_into(tmp, x, rows);
-    push_stage(stages, x, t_len, d);
     // FFN: hidden kernel -> exact ReLU -> output kernel + residual + LN2.
     float* hidden = ws.floats(rows * arch_.ffn_dim);
     layer.ffn_hidden->query_into(x, rows, d, hidden, arch_.ffn_dim, ws);
@@ -221,7 +220,6 @@ void TabularPredictor::forward_block_into(const float* addr, const float* pc, st
     layer.ffn_out->query_into(hidden, rows, arch_.ffn_dim, tmp, d, ws);
     for (std::size_t i = 0; i < rows * d; ++i) tmp[i] += x[i];
     layer.ln2.apply_into(tmp, x, rows);
-    push_stage(stages, x, t_len, d);
     ws.rewind(layer_frame);
   }
 
@@ -239,18 +237,16 @@ void TabularPredictor::forward_block_into(const float* addr, const float* pc, st
       const float* row = pt + t * out_d;
       for (std::size_t j = 0; j < out_d; ++j) probs[j] += row[j] * inv_t;
     }
-    push_stage(stages, probs, 1, out_d);
     sigmoid_lut.apply_batch(probs, out_d, probs);
   }
   ws.rewind(frame);
 }
 
-nn::Tensor TabularPredictor::forward_sample(const nn::Tensor& addr, const nn::Tensor& pc,
-                                            std::vector<nn::Tensor>* stages) const {
+nn::Tensor TabularPredictor::forward_sample(const nn::Tensor& addr, const nn::Tensor& pc) const {
   nn::Tensor probs({arch_.out_dim});
   // No ensure(): the thread-local arena grows to the peak demand on the
   // first call and is a pure bump allocator afterwards.
-  forward_sample_into(addr.data(), pc.data(), probs.data(), thread_local_workspace(), stages);
+  forward_sample_into(addr.data(), pc.data(), probs.data(), thread_local_workspace());
   return probs;
 }
 
@@ -262,27 +258,16 @@ nn::Tensor TabularPredictor::forward(const nn::Tensor& addr, const nn::Tensor& p
   const std::size_t sp = pc.dim(2);
   nn::Tensor out({b_sz, arch_.out_dim});
   if (b_sz == 0) return out;
-  // Layer-major sub-blocks of at most 16 samples: long enough to amortize
-  // encoder calls (128+ rows each), small enough that the activation
-  // buffers stay L2-resident — larger blocks measurably degrade (the seed's
-  // "slower past batch 16" effect was this spill).
-  constexpr std::size_t kMaxBlockSamples = 16;
-  TabularArch ta = tabular_arch();
   const std::size_t nb = common::plan_blocks(b_sz, 1);
-  const std::size_t per_block = std::min(kMaxBlockSamples, (b_sz + nb - 1) / nb);
-  ta.float_slots *= per_block;
-  ta.code_slots *= per_block;
+  const TabularArch ta = tabular_arch((b_sz + nb - 1) / nb);
   // The single top-level batch split (DESIGN.md §6): every kernel invoked
   // below this fork is serial, so the pool is never oversubscribed by
   // nested parallel_for calls.
   common::parallel_for_blocks(b_sz, [&](std::size_t, std::size_t b0, std::size_t b1) {
     InferenceWorkspace& ws = thread_local_workspace();
     ws.ensure(ta);
-    for (std::size_t s0 = b0; s0 < b1; s0 += kMaxBlockSamples) {
-      const std::size_t bn = std::min(kMaxBlockSamples, b1 - s0);
-      forward_block_into(addr.data() + s0 * t_len * sa, pc.data() + s0 * t_len * sp, bn,
-                         out.row(s0), ws);
-    }
+    forward_block_into(addr.data() + b0 * t_len * sa, pc.data() + b0 * t_len * sp, b1 - b0,
+                       out.row(b0), ws);
   }, 1);
   return out;
 }

@@ -70,32 +70,29 @@ class TabularPredictor {
 
   /// Zero-allocation layer-major block query: `n` samples' [T, S] inputs,
   /// contiguous, at `addr`/`pc`; writes n*DO probabilities to `probs_out`.
-  /// Every linear kernel runs ONCE over all n*T rows (encoders see long
-  /// batches, aggregation loops stream), only the attention heads iterate
-  /// per sample. Serial; safe to call concurrently with distinct
-  /// workspaces. `stages` is honored for n == 1 only.
+  /// Any `n` is accepted: the samples run in sub-blocks of at most 16,
+  /// starting at the first. Within a sub-block every linear kernel runs
+  /// ONCE over all its rows (encoders see long batches, aggregation loops
+  /// stream), and only the attention heads iterate per sample. Serial; safe
+  /// to call concurrently with distinct workspaces.
   void forward_block_into(const float* addr, const float* pc, std::size_t n, float* probs_out,
-                          InferenceWorkspace& ws,
-                          std::vector<nn::Tensor>* stages = nullptr) const;
+                          InferenceWorkspace& ws) const;
 
   /// Zero-allocation single-sample query. `addr`/`pc` point at one sample's
   /// [T, S] rows (contiguous), `probs_out` receives DO probabilities.
   /// Serial; safe to call concurrently with distinct workspaces.
   void forward_sample_into(const float* addr, const float* pc, float* probs_out,
-                           InferenceWorkspace& ws,
-                           std::vector<nn::Tensor>* stages = nullptr) const {
-    forward_block_into(addr, pc, 1, probs_out, ws, stages);
+                           InferenceWorkspace& ws) const {
+    forward_block_into(addr, pc, 1, probs_out, ws);
   }
 
-  /// Single-sample query exposing the per-stage activations; `stages`
-  /// receives one [T, D]-shaped tensor per stage (used for the Fig. 11
-  /// cosine-similarity analysis).
-  nn::Tensor forward_sample(const nn::Tensor& addr, const nn::Tensor& pc,
-                            std::vector<nn::Tensor>* stages = nullptr) const;
+  /// Single-sample Tensor query: [T, S] addr + pc -> DO probabilities.
+  nn::Tensor forward_sample(const nn::Tensor& addr, const nn::Tensor& pc) const;
 
   /// Shape + workspace-demand summary used to size `InferenceWorkspace`s
-  /// once, before the batch split.
-  TabularArch tabular_arch() const;
+  /// once, before the batch split: the demand of one forward_block_into
+  /// call over `samples` samples (a sub-block caps it at 16).
+  TabularArch tabular_arch(std::size_t samples = 1) const;
 
   /// Total table storage in bytes (tables + sigmoid LUT + LN params).
   std::size_t storage_bytes() const;

@@ -1,6 +1,6 @@
 // Tests for the versioned `.dart` artifact store (src/io, DESIGN.md §7):
 // bit-exact round trips of the full predictor bundle (exact and hash-tree
-// encoders) and of the fused kernel, clean errors on truncated / corrupted /
+// encoders) and of the fused table, clean errors on truncated / corrupted /
 // version-mismatched files, stale-configuration rejection, and the
 // train-once ExperimentRunner artifact cache.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <vector>
 
 #include "core/artifact_cache.hpp"
@@ -16,7 +17,7 @@
 #include "io/artifact.hpp"
 #include "nn/transformer.hpp"
 #include "pq/encoder.hpp"
-#include "tabular/fused_kernel.hpp"
+#include "tabular/linear_kernel.hpp"
 #include "tabular/tabularizer.hpp"
 
 namespace dart {
@@ -129,13 +130,16 @@ TEST(Artifact, InfoCarriesMetadata) {
   std::remove(path.c_str());
 }
 
-TEST(Artifact, RoundTripsFusedKernelBitExact) {
+TEST(Artifact, RoundTripsFusedTableBitExact) {
   for (pq::EncoderKind kind : {pq::EncoderKind::kExact, pq::EncoderKind::kHashTree}) {
     const std::string path = temp_path("dart_artifact_fused.dart");
     nn::Tensor rows = nn::Tensor::randn({64, 6}, 1.0f, 31);
-    tabular::FusedKernelConfig config;
+    tabular::KernelConfig config;
     config.num_prototypes = 16;
+    config.num_subspaces = 1;
     config.encoder = kind;
+    config.kmeans_iters = 12;
+    config.seed = 47;
     auto stack = [](const nn::Tensor& x) {
       nn::Tensor y({x.dim(0), 3});
       for (std::size_t i = 0; i < x.dim(0); ++i) {
@@ -143,9 +147,9 @@ TEST(Artifact, RoundTripsFusedKernelBitExact) {
       }
       return y;
     };
-    tabular::FusedKernel original(6, 3, stack, rows, config);
-    original.save(path);
-    tabular::FusedKernel reloaded = tabular::FusedKernel::load(path);
+    const tabular::LinearKernel original = tabular::LinearKernel::fused(6, 3, stack, rows, config);
+    io::save_fused_artifact(path, original);
+    const tabular::LinearKernel reloaded = io::load_fused_artifact(path);
     nn::Tensor probe = nn::Tensor::randn({32, 6}, 1.0f, 32);
     nn::Tensor ya = original.query(probe);
     nn::Tensor yb = reloaded.query(probe);
@@ -153,6 +157,52 @@ TEST(Artifact, RoundTripsFusedKernelBitExact) {
     EXPECT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.numel() * sizeof(float)));
     std::remove(path.c_str());
   }
+}
+
+// Pins the FUSD chunk bytes. The kernel comes from a hand-written table and
+// prototypes (no k-means), so the bytes do not depend on the compiler or
+// -march; the hash is the one the format has had since FUSD was introduced.
+TEST(Artifact, FusedTableBytesArePinned) {
+  const std::size_t in_dim = 3, out_dim = 2, k = 4;
+  nn::Tensor protos({k, in_dim});
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < in_dim; ++j) {
+      protos.at(i, j) = 0.25f * static_cast<float>(i) - 0.5f * static_cast<float>(j);
+    }
+  }
+  std::vector<float> table(k * out_dim);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < out_dim; ++j) {
+      table[i * out_dim + j] =
+          1.5f * static_cast<float>(i) + 0.125f * static_cast<float>(j) - 2.0f;
+    }
+  }
+  tabular::KernelConfig config;
+  config.num_prototypes = k;
+  config.num_subspaces = 1;
+  config.encoder = pq::EncoderKind::kExact;
+  config.kmeans_iters = 12;
+  config.seed = 47;
+  std::vector<std::unique_ptr<pq::Encoder>> encoders;
+  encoders.push_back(std::make_unique<pq::ExactEncoder>(protos));
+  const tabular::LinearKernel kernel = tabular::LinearKernel::from_parts(
+      config, in_dim, out_dim, std::move(table), std::move(encoders));
+  const std::string path = temp_path("dart_artifact_fused_pin.dart");
+  EXPECT_EQ(0x8ca99ad9412c7394ull, io::save_fused_artifact(path, kernel));
+  std::remove(path.c_str());
+}
+
+TEST(Artifact, FusedSaveRejectsTwoCodebooks) {
+  const std::string path = temp_path("dart_artifact_fused_c2.dart");
+  tabular::KernelConfig config;
+  config.num_prototypes = 4;
+  config.num_subspaces = 2;
+  nn::Tensor w = nn::Tensor::randn({3, 4}, 1.0f, 33);
+  nn::Tensor b = nn::Tensor::randn({3}, 1.0f, 34);
+  nn::Tensor rows = nn::Tensor::randn({32, 4}, 1.0f, 35);
+  const tabular::LinearKernel kernel(w, b, rows, config);
+  EXPECT_THROW(io::save_fused_artifact(path, kernel), io::ArtifactError);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(Artifact, MissingFileIsACleanErrorNamingThePath) {

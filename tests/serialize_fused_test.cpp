@@ -8,7 +8,7 @@
 #include "nn/serialize.hpp"
 #include "nn/transformer.hpp"
 #include "tabular/complexity.hpp"
-#include "tabular/fused_kernel.hpp"
+#include "tabular/linear_kernel.hpp"
 
 namespace dart {
 namespace {
@@ -64,48 +64,58 @@ TEST(Serialize, RejectsMissingAndCorruptFiles) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------------------- FusedKernel
+// ------------------------------------------------------------- FusedTable
 
-TEST(FusedKernel, ExactOnPrototypeInputs) {
+/// A one-codebook kernel config with K = `k` and the fused table's
+/// long-standing defaults: 12 k-means iterations, seed 47, exact encoder.
+tabular::KernelConfig fused_config(std::size_t k) {
+  tabular::KernelConfig cfg;
+  cfg.num_prototypes = k;
+  cfg.num_subspaces = 1;
+  cfg.encoder = pq::EncoderKind::kExact;
+  cfg.kmeans_iters = 12;
+  cfg.seed = 47;
+  return cfg;
+}
+
+TEST(FusedTable, ExactOnPrototypeInputs) {
   // Identity stack: table rows are the prototypes themselves; querying a
   // training point equal to a prototype must return it exactly.
   nn::Tensor rows({8, 4});
   for (std::size_t i = 0; i < 8; ++i) {
     for (std::size_t j = 0; j < 4; ++j) rows.at(i, j) = static_cast<float>(i * 7 + j);
   }
-  tabular::FusedKernelConfig cfg;
-  cfg.num_prototypes = 8;
+  tabular::KernelConfig cfg = fused_config(8);
   cfg.kmeans_iters = 25;
-  tabular::FusedKernel fused(4, 4, [](const nn::Tensor& x) { return x; }, rows, cfg);
+  const tabular::LinearKernel fused =
+      tabular::LinearKernel::fused(4, 4, [](const nn::Tensor& x) { return x; }, rows, cfg);
   nn::Tensor out = fused.query(rows);
   for (std::size_t i = 0; i < out.numel(); ++i) EXPECT_NEAR(out[i], rows[i], 1e-3f);
 }
 
-TEST(FusedKernel, ApproximatesAnFfnStack) {
+TEST(FusedTable, ApproximatesAnFfnStack) {
   // Fuse hidden -> ReLU -> out into one table and compare against the exact
   // stack on held-out points drawn from the same distribution.
   nn::FeedForward ffn(6, 12, 7);
   auto stack = [&](const nn::Tensor& x) { return ffn.forward(x); };
   nn::Tensor train = nn::Tensor::randn({2048, 6}, 1.0f, 8);
-  tabular::FusedKernelConfig cfg;
-  cfg.num_prototypes = 512;
-  tabular::FusedKernel fused(6, 6, stack, train, cfg);
+  const tabular::LinearKernel fused =
+      tabular::LinearKernel::fused(6, 6, stack, train, fused_config(512));
   nn::Tensor test = nn::Tensor::randn({128, 6}, 1.0f, 9);
   nn::Tensor approx = fused.query(test);
   nn::Tensor exact = ffn.forward(test);
   EXPECT_GT(nn::ops::cosine_similarity(approx, exact), 0.7);
 }
 
-TEST(FusedKernel, MoreVqPrototypesReduceError) {
+TEST(FusedTable, MoreVqPrototypesReduceError) {
   nn::FeedForward ffn(6, 12, 11);
   auto stack = [&](const nn::Tensor& x) { return ffn.forward(x); };
   nn::Tensor train = nn::Tensor::randn({2048, 6}, 1.0f, 12);
   nn::Tensor test = nn::Tensor::randn({128, 6}, 1.0f, 13);
   nn::Tensor exact = ffn.forward(test);
   auto mse_for = [&](std::size_t k) {
-    tabular::FusedKernelConfig cfg;
-    cfg.num_prototypes = k;
-    tabular::FusedKernel fused(6, 6, stack, train, cfg);
+    const tabular::LinearKernel fused =
+        tabular::LinearKernel::fused(6, 6, stack, train, fused_config(k));
     nn::Tensor approx = fused.query(test);
     double mse = 0.0;
     for (std::size_t i = 0; i < approx.numel(); ++i) {
@@ -117,26 +127,31 @@ TEST(FusedKernel, MoreVqPrototypesReduceError) {
   EXPECT_LE(mse_for(512), mse_for(16) * 1.05);
 }
 
-TEST(FusedKernel, LatencyBeatsTwoChainedLinearKernels) {
+TEST(FusedTable, LatencyBeatsTwoChainedLinearKernels) {
   nn::FeedForward ffn(8, 16, 21);
   auto stack = [&](const nn::Tensor& x) { return ffn.forward(x); };
   nn::Tensor train = nn::Tensor::randn({256, 8}, 1.0f, 22);
-  tabular::FusedKernelConfig cfg;
-  cfg.num_prototypes = 256;
-  tabular::FusedKernel fused(8, 8, stack, train, cfg);
+  const tabular::LinearKernel fused =
+      tabular::LinearKernel::fused(8, 8, stack, train, fused_config(256));
   // Two linear kernels at K=128, C=2 cost 2*(7+1+1) = 18 cycles; the fused
   // table at K=256 costs log2(256)+1 = 9.
-  EXPECT_LT(fused.latency_cycles(),
+  EXPECT_LT(tabular::linear_kernel_latency(fused.num_prototypes(), fused.num_subspaces()),
             2 * tabular::linear_kernel_latency(128, 2));
 }
 
-TEST(FusedKernel, RejectsBadShapes) {
+TEST(FusedTable, RejectsBadShapes) {
+  auto identity = [](const nn::Tensor& x) { return x; };
   nn::Tensor train({10, 3});
-  tabular::FusedKernelConfig cfg;
-  cfg.num_prototypes = 4;
-  EXPECT_THROW(
-      tabular::FusedKernel(4, 4, [](const nn::Tensor& x) { return x; }, train, cfg),
-      std::invalid_argument);
+  EXPECT_THROW(tabular::LinearKernel::fused(4, 4, identity, train, fused_config(4)),
+               std::invalid_argument);
+  // One codebook only: a fused table does not decompose across subspaces.
+  nn::Tensor rows = nn::Tensor::randn({10, 4}, 1.0f, 23);
+  tabular::KernelConfig two = fused_config(4);
+  two.num_subspaces = 2;
+  EXPECT_THROW(tabular::LinearKernel::fused(4, 4, identity, rows, two), std::invalid_argument);
+  // The stack must produce [K, DO].
+  EXPECT_THROW(tabular::LinearKernel::fused(4, 3, identity, rows, fused_config(4)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "io/artifact.hpp"
 #include "nn/tensor.hpp"
 #include "nn/transformer.hpp"
-#include "tabular/fused_kernel.hpp"
 #include "tabular/linear_kernel.hpp"
 #include "tabular/quant.hpp"
 #include "tabular/tabularizer.hpp"
@@ -355,18 +354,21 @@ TEST(QuantArtifact, FloatArtifactsLoadWithQuantOff) {
   std::filesystem::remove(path);
 }
 
-TEST(QuantArtifact, FusedKernelRoundTripsBitExact) {
+TEST(QuantArtifact, FusedTableRoundTripsBitExact) {
   const std::string path = temp_path("dart_quant_fused.dart");
   nn::Tensor rows = nn::Tensor::randn({64, 8}, 1.0f, 61);
-  tabular::FusedKernelConfig config;
+  tabular::KernelConfig config;
   config.num_prototypes = 16;
+  config.num_subspaces = 1;
+  config.encoder = pq::EncoderKind::kExact;
   config.kmeans_iters = 4;
-  tabular::FusedKernel original(
+  config.seed = 47;
+  tabular::LinearKernel original = tabular::LinearKernel::fused(
       8, 12, [](const nn::Tensor& x) { return nn::Tensor::randn({x.dim(0), 12}, 1.0f, 62); },
       rows, config);
   original.quantize(QuantMode::kInt8);
-  original.save(path);
-  tabular::FusedKernel loaded = tabular::FusedKernel::load(path);
+  io::save_fused_artifact(path, original);
+  const tabular::LinearKernel loaded = io::load_fused_artifact(path);
   EXPECT_EQ(QuantMode::kInt8, loaded.quant_mode());
   EXPECT_EQ(original.quantized().q8, loaded.quantized().q8);
   nn::Tensor queries = nn::Tensor::randn({16, 8}, 1.0f, 63);

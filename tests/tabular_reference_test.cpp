@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/configs.hpp"
@@ -265,6 +266,21 @@ TEST_P(EndToEndGolden, BatchedForwardMatchesNaiveReference) {
       EXPECT_NEAR(single[j], ref[j], 1e-6f) << "sample " << b << " output " << j;
     }
   }
+
+  // One block call over 40 samples runs as sub-blocks of 16 + 16 + 8 and
+  // must equal 40 single-sample calls bit for bit.
+  const std::size_t n_long = 40;
+  nn::Tensor long_addr = nn::Tensor::randn({n_long, arch.seq_len, arch.addr_dim}, 1.0f, 125);
+  nn::Tensor long_pc = nn::Tensor::randn({n_long, arch.seq_len, arch.pc_dim}, 1.0f, 126);
+  InferenceWorkspace ws(tab.tabular_arch(n_long));
+  std::vector<float> block(n_long * arch.out_dim), singles(n_long * arch.out_dim);
+  tab.forward_block_into(long_addr.data(), long_pc.data(), n_long, block.data(), ws);
+  for (std::size_t b = 0; b < n_long; ++b) {
+    tab.forward_sample_into(long_addr.data() + b * arch.seq_len * arch.addr_dim,
+                            long_pc.data() + b * arch.seq_len * arch.pc_dim,
+                            singles.data() + b * arch.out_dim, ws);
+  }
+  EXPECT_EQ(0, std::memcmp(block.data(), singles.data(), block.size() * sizeof(float)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Encoders, EndToEndGolden,
