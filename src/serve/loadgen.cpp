@@ -1,139 +1,66 @@
 #include "serve/loadgen.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 
+#include "common/detmath.hpp"
 #include "common/env.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "trace/trace.hpp"
 
 namespace dart::serve {
 
 namespace {
 
-/// One client's in-flight slot: borrowed feature/result buffers plus the
-/// trace ID the matching response must echo.
-struct Slot {
-  std::vector<float> addr, pc, probs;
-  std::uint64_t expect_id = 0;
-};
+/// Latency of a request that was never answered (missed, shed or lost):
+/// it reads as +infinity in the quantiles.
+constexpr std::uint64_t kUnanswered = std::numeric_limits<std::uint64_t>::max();
 
-/// Per-stream tallies, summed into the report after the join.
-struct StreamCounters {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t backoff_us = 0;
-  std::uint64_t id_mismatches = 0;
-};
-
-/// Backpressure backoff bounds: exponential from base to cap, jittered.
-constexpr std::uint64_t kBackoffBaseUs = 4;
-constexpr std::uint64_t kBackoffCapUs = 512;
-
-/// Replays one app stream: rolls a T-deep history over the trace, issues
-/// one request per post-warmup access (wrapping the trace as needed) and
-/// drains completions to keep at most `window` requests in flight.
-void run_stream(ClientSession& session, const LoadOptions& options,
-                const trace::Workload& workload, std::uint64_t seed, StreamCounters& counters) {
-  const trace::PreprocessOptions& prep = options.prep;
-  const std::size_t t_len = prep.history;
-  const trace::MemoryTrace trace = workload.generate(options.trace_accesses, seed);
-
-  std::vector<Slot> slots(options.window);
-  for (Slot& s : slots) {
-    s.addr.resize(t_len * prep.addr_segments);
-    s.pc.resize(t_len * prep.pc_segments);
-    s.probs.resize(prep.bitmap_size);
-  }
-  std::vector<std::size_t> free_slots;
-  for (std::size_t i = 0; i < slots.size(); ++i) free_slots.push_back(i);
-
-  // Slot identification: responses echo the probs pointer, which maps back
-  // to the slot index by address.
-  auto slot_of = [&](const float* probs) -> std::size_t {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].probs.data() == probs) return i;
-    }
-    return slots.size();
-  };
-  auto drain = [&](bool block) {
-    Response r;
-    do {
-      while (session.poll(r)) {
-        if (r.status == Response::Status::kShed) {
-          ++counters.shed;  // explicit drop: the slot frees, probs hold no result
-        } else {
-          ++counters.completed;
-        }
-        const std::size_t idx = slot_of(r.probs);
-        if (idx == slots.size() || slots[idx].expect_id != r.trace_id) {
-          ++counters.id_mismatches;
-        }
-        if (idx != slots.size()) free_slots.push_back(idx);
-      }
-      if (block && session.in_flight() > 0) std::this_thread::yield();
-    } while (block && session.in_flight() > 0);
-  };
-
-  std::vector<std::uint64_t> hist_blocks(t_len, 0), hist_pcs(t_len, 0);
+/// One client stream: its session, trace and T-deep history, plus the
+/// session's request slots. Slot buffers are contiguous, so a response's
+/// echoed probs pointer maps back to its slot by arithmetic.
+struct Stream {
+  std::unique_ptr<ClientSession> session;
+  trace::MemoryTrace trace;
+  std::vector<std::uint64_t> hist_blocks, hist_pcs;
   std::size_t hist_pos = 0, access = 0;
-  // Warm the history window before the first request.
-  for (; access < t_len && access < trace.size(); ++access) {
-    hist_blocks[hist_pos] = trace::block_of(trace[access].addr);
-    hist_pcs[hist_pos] = trace[access].pc;
-    hist_pos = (hist_pos + 1) % t_len;
-  }
+  std::vector<float> addr, pc, probs;
+  std::vector<std::uint64_t> expect_id;  ///< per slot: trace ID the response must echo
+  std::vector<std::size_t> request;      ///< per slot: index of the planned request
+  std::vector<std::size_t> free;
 
-  for (std::uint64_t issued = 0; issued < options.requests_per_stream; ++issued) {
-    const trace::MemoryAccess& acc = trace[access % trace.size()];
-    ++access;
+  /// Rolls the next trace access (wrapping the trace) into the history.
+  void advance() {
+    const trace::MemoryAccess& acc = trace[access++ % trace.size()];
     hist_blocks[hist_pos] = trace::block_of(acc.addr);
     hist_pcs[hist_pos] = acc.pc;
-    hist_pos = (hist_pos + 1) % t_len;
-
-    // Claim a slot, draining completions while the window is saturated.
-    while (free_slots.empty()) {
-      drain(false);
-      if (free_slots.empty()) std::this_thread::yield();
-    }
-    const std::size_t idx = free_slots.back();
-    free_slots.pop_back();
-    Slot& slot = slots[idx];
-    for (std::size_t t = 0; t < t_len; ++t) {
-      const std::size_t h = (hist_pos + t) % t_len;  // oldest -> newest
-      trace::segment_value(hist_blocks[h], prep.addr_segments, prep.segment_bits,
-                           slot.addr.data() + t * prep.addr_segments);
-      trace::segment_value(hist_pcs[h] >> 2, prep.pc_segments, prep.segment_bits,
-                           slot.pc.data() + t * prep.pc_segments);
-    }
-    // Submit, absorbing backpressure by draining and retrying under bounded
-    // exponential backoff with seeded jitter — a hot spin here would steal
-    // the very cycles the overloaded shard needs to drain its queue, and
-    // synchronized clients would retry in lockstep without the jitter.
-    for (std::uint64_t attempt = 0;; ++attempt) {
-      slot.expect_id = session.submit(slot.addr.data(), slot.pc.data(), slot.probs.data());
-      if (slot.expect_id != 0) break;
-      ++counters.rejected;
-      drain(false);
-      const std::uint64_t cap =
-          std::min(kBackoffCapUs, kBackoffBaseUs << std::min<std::uint64_t>(attempt, 7));
-      // Deterministic jitter in [cap/2, cap]: a fresh SplitMix64 draw per
-      // retry, seeded by the stream, so runs are reproducible.
-      const std::uint64_t sleep_us =
-          cap / 2 + common::derive_seed(seed, counters.rejected) % (cap / 2 + 1);
-      counters.backoff_us += sleep_us;
-      std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-    }
-    ++counters.submitted;
-    drain(false);
+    hist_pos = (hist_pos + 1) % hist_blocks.size();
   }
-  drain(true);  // collect every outstanding response before exiting
+};
+
+void check_options(const LoadOptions& o) {
+  auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("run_client_load: ") + what);
+  };
+  if (o.streams == 0 || o.streams > kMaxStreams) fail("streams must be in [1, kMaxStreams]");
+  if (o.requests_per_stream == 0 || o.requests_per_stream > kMaxPlannedRequests / o.streams) {
+    fail("streams x requests_per_stream must be in [1, kMaxPlannedRequests]");
+  }
+  if (!std::isfinite(o.rate_per_s) || o.rate_per_s <= 0.0) fail("rate_per_s must be finite and > 0");
+  if (static_cast<double>(o.streams * o.requests_per_stream) / o.rate_per_s >
+      kMaxScheduleSeconds) {
+    fail("streams x requests_per_stream / rate_per_s must be <= kMaxScheduleSeconds");
+  }
+  if (o.trace_accesses == 0 || o.trace_accesses > kMaxTraceAccesses) {
+    fail("trace_accesses must be in [1, kMaxTraceAccesses]");
+  }
 }
 
 }  // namespace
@@ -144,17 +71,19 @@ LoadOptions LoadOptions::from_env() {
       common::env_int("DART_SERVE_STREAMS", static_cast<std::int64_t>(o.streams)));
   o.requests_per_stream = static_cast<std::size_t>(
       common::env_int("DART_SERVE_REQUESTS", static_cast<std::int64_t>(o.requests_per_stream)));
-  o.window = static_cast<std::size_t>(
-      common::env_int("DART_SERVE_WINDOW", static_cast<std::int64_t>(o.window)));
+  o.rate_per_s = common::env_double("DART_SERVE_RATE", o.rate_per_s);
   const std::string wls = common::env_string("DART_SERVE_WORKLOADS", "");
   if (!wls.empty()) o.workloads = trace::parse_workload_list(wls);
   return o;
 }
 
-LoadReport run_client_load(PrefetchServer& server, const LoadOptions& options) {
+LoadReport run_client_load(PrefetchServer& server, const LoadOptions& options,
+                           std::chrono::nanoseconds drain_give_up) {
+  check_options(options);
+  const trace::PreprocessOptions& prep = options.prep;
   const nn::ModelConfig arch = server.arch();
-  if (options.prep.history != arch.seq_len || options.prep.addr_segments != arch.addr_dim ||
-      options.prep.pc_segments != arch.pc_dim || options.prep.bitmap_size != arch.out_dim) {
+  if (prep.history != arch.seq_len || prep.addr_segments != arch.addr_dim ||
+      prep.pc_segments != arch.pc_dim || prep.bitmap_size != arch.out_dim) {
     throw std::invalid_argument(
         "run_client_load: preprocessing geometry does not match the serving model");
   }
@@ -163,37 +92,138 @@ LoadReport run_client_load(PrefetchServer& server, const LoadOptions& options) {
     workloads.assign(trace::all_apps().begin(), trace::all_apps().end());
   }
 
-  std::vector<std::unique_ptr<ClientSession>> sessions;
-  std::vector<StreamCounters> counters(options.streams);
-  for (std::size_t i = 0; i < options.streams; ++i) {
-    sessions.push_back(server.connect(options.window));
-  }
+  const std::size_t t_len = prep.history;
+  const std::size_t addr_len = t_len * prep.addr_segments;
+  const std::size_t pc_len = t_len * prep.pc_segments;
+  const std::size_t out_len = prep.bitmap_size;
+  const std::size_t slots = server.config().completion_capacity;
+  const std::size_t planned = options.streams * options.requests_per_stream;
 
-  common::Stopwatch watch;
-  std::vector<std::thread> clients;
-  clients.reserve(options.streams);
-  for (std::size_t i = 0; i < options.streams; ++i) {
-    clients.emplace_back([&, i] {
-      run_stream(*sessions[i], options, workloads[i % workloads.size()],
-                 common::derive_seed(options.seed, i), counters[i]);
-    });
+  // (intended send ns, latency ns) per planned request, sized before the
+  // first send so the client's memory does not depend on the server.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> records(planned, {0, kUnanswered});
+  std::vector<Stream> streams(options.streams);
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    Stream& s = streams[i];
+    s.trace = workloads[i % workloads.size()].generate(options.trace_accesses,
+                                                       common::derive_seed(options.seed, i));
+    if (s.trace.empty()) throw std::invalid_argument("run_client_load: workload has no accesses");
+    s.hist_blocks.assign(t_len, 0);
+    s.hist_pcs.assign(t_len, 0);
+    // Warm the history window before the first request.
+    for (std::size_t a = 0; a < t_len && a < s.trace.size(); ++a) s.advance();
+    s.addr.resize(slots * addr_len);
+    s.pc.resize(slots * pc_len);
+    s.probs.resize(slots * out_len);
+    s.expect_id.assign(slots, 0);
+    s.request.assign(slots, 0);
+    for (std::size_t k = slots; k-- > 0;) s.free.push_back(k);
+    s.session = server.connect(slots);
   }
-  for (auto& c : clients) c.join();
 
   LoadReport report;
   report.streams = options.streams;
-  report.elapsed_s = watch.elapsed_s();
-  for (const StreamCounters& c : counters) {
-    report.submitted += c.submitted;
-    report.completed += c.completed;
-    report.shed += c.shed;
-    report.rejected += c.rejected;
-    report.backoff_us += c.backoff_us;
-    report.id_mismatches += c.id_mismatches;
+  auto drain = [&] {
+    Response r;
+    for (Stream& s : streams) {
+      while (s.session->poll(r)) {
+        const std::uint64_t now = now_ns();
+        const std::size_t slot = (reinterpret_cast<std::uintptr_t>(r.probs) -
+                                  reinterpret_cast<std::uintptr_t>(s.probs.data())) /
+                                 (out_len * sizeof(float));
+        if (slot >= slots || s.expect_id[slot] != r.trace_id) {
+          ++report.id_mismatches;  // not this stream's buffer, or another request's ID
+          continue;
+        }
+        auto& record = records[s.request[slot]];
+        if (r.status == Response::Status::kShed) {
+          ++report.shed;
+        } else {
+          ++report.completed;
+          record.second = now - record.first;
+        }
+        s.expect_id[slot] = 0;
+        s.free.push_back(slot);
+      }
+    }
+  };
+
+  // Poisson arrivals from their own seeded stream, past every trace seed.
+  common::Rng rng(common::derive_seed(options.seed, kMaxStreams));
+  const double mean_gap_ns = 1e9 / options.rate_per_s;
+  const std::uint64_t start = now_ns();
+  double due_ns = 0.0;
+  for (std::size_t k = 0; k < planned; ++k) {
+    due_ns -= common::det::log(1.0 - rng.uniform()) * mean_gap_ns;
+    const std::uint64_t intended = start + static_cast<std::uint64_t>(due_ns);
+    records[k].first = intended;
+    Stream& s = streams[k % streams.size()];
+    s.advance();
+    // Yield, not spin, while early: the shards may need this core.
+    for (;;) {
+      drain();
+      if (now_ns() >= intended) break;
+      std::this_thread::yield();
+    }
+    if (s.free.empty()) {
+      ++report.missed;
+      continue;
+    }
+    const std::size_t slot = s.free.back();
+    float* addr = s.addr.data() + slot * addr_len;
+    float* pc = s.pc.data() + slot * pc_len;
+    for (std::size_t t = 0; t < t_len; ++t) {
+      const std::size_t h = (s.hist_pos + t) % t_len;  // oldest -> newest
+      trace::segment_value(s.hist_blocks[h], prep.addr_segments, prep.segment_bits,
+                           addr + t * prep.addr_segments);
+      trace::segment_value(s.hist_pcs[h] >> 2, prep.pc_segments, prep.segment_bits,
+                           pc + t * prep.pc_segments);
+    }
+    const std::uint64_t id = s.session->submit(addr, pc, s.probs.data() + slot * out_len);
+    if (id == 0) {
+      ++report.missed;
+      continue;
+    }
+    s.free.pop_back();
+    s.expect_id[slot] = id;
+    s.request[slot] = k;
+    ++report.submitted;
   }
-  report.predictions_per_sec =
-      report.elapsed_s > 0.0 ? static_cast<double>(report.completed) / report.elapsed_s : 0.0;
+
+  auto in_flight = [&] {
+    std::size_t n = 0;
+    for (const Stream& s : streams) n += s.session->in_flight();
+    return n;
+  };
+  const std::uint64_t give_up =
+      now_ns() + static_cast<std::uint64_t>(std::max<std::int64_t>(drain_give_up.count(), 0));
+  for (;;) {
+    drain();
+    if (in_flight() == 0 || now_ns() >= give_up) break;
+    std::this_thread::yield();
+  }
+  report.elapsed_s = static_cast<double>(now_ns() - start) / 1e9;
+  if (in_flight() != 0) {
+    // Gave up: what is still out counts as lost, but the shards still hold
+    // those requests' feature and probs buffers. Stopping the server
+    // completes every accepted request into these sessions' rings before
+    // the sessions and buffers are freed.
+    server.stop();
+  }
+  report.predictions_per_sec = static_cast<double>(report.completed) / report.elapsed_s;
   report.server = server.stats();
+
+  // Nearest-rank quantiles over every planned request.
+  std::sort(records.begin(), records.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+  auto quantile_us = [&](double q) {
+    const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(planned)));
+    const std::uint64_t ns = records[std::clamp<std::size_t>(rank, 1, planned) - 1].second;
+    return ns == kUnanswered ? std::numeric_limits<double>::infinity()
+                             : static_cast<double>(ns) / 1000.0;
+  };
+  report.p50_us = quantile_us(0.50);
+  report.p99_us = quantile_us(0.99);
   return report;
 }
 

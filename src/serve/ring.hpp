@@ -22,12 +22,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 namespace dart::serve {
 
+/// Largest ring capacity the serving layer accepts (2^16 slots).
+inline constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 16;
+
 /// Rounds `n` up to the next power of two (minimum 2), so ring capacities
-/// can mask positions instead of dividing.
+/// can mask positions instead of dividing. Throws std::invalid_argument
+/// when `n` exceeds kMaxRingCapacity, before any doubling could wrap.
 inline std::size_t ceil_pow2(std::size_t n) {
+  if (n > kMaxRingCapacity) {
+    throw std::invalid_argument("ring capacity exceeds kMaxRingCapacity");
+  }
   std::size_t cap = 2;
   while (cap < n) cap <<= 1;
   return cap;
@@ -44,9 +52,10 @@ template <typename T>
 class SpscRing {
  public:
   /// Ring holding at least `capacity` elements (rounded up to a power of
-  /// two, minimum 2). `start_pos` is the initial head/tail position —
-  /// production rings start at 0; tests start near the uint64 wrap points
-  /// to prove position arithmetic survives index-type overflow.
+  /// two, minimum 2; at most kMaxRingCapacity, see ceil_pow2). `start_pos`
+  /// is the initial head/tail position — production rings start at 0;
+  /// tests start near the uint64 wrap points to prove position arithmetic
+  /// survives index-type overflow.
   explicit SpscRing(std::size_t capacity, std::uint64_t start_pos = 0)
       : capacity_(ceil_pow2(capacity)),
         mask_(capacity_ - 1),
@@ -114,10 +123,11 @@ template <typename T>
 class MpscRing {
  public:
   /// Ring holding at least `capacity` elements (rounded up to a power of
-  /// two, minimum 2). `start_pos` is the initial head/tail position —
-  /// production rings start at 0; tests start near 2^63 / 2^64 to prove the
-  /// sequence arithmetic survives index-type overflow. Each slot is armed
-  /// with the first position at or past `start_pos` that maps to it.
+  /// two, minimum 2; at most kMaxRingCapacity, see ceil_pow2). `start_pos`
+  /// is the initial head/tail position — production rings start at 0;
+  /// tests start near 2^63 / 2^64 to prove the sequence arithmetic
+  /// survives index-type overflow. Each slot is armed with the first
+  /// position at or past `start_pos` that maps to it.
   explicit MpscRing(std::size_t capacity, std::uint64_t start_pos = 0)
       : capacity_(ceil_pow2(capacity)),
         mask_(capacity_ - 1),

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/env.hpp"
@@ -22,6 +23,22 @@ void check_geometry(const nn::ModelConfig& a, const nn::ModelConfig& b) {
         "PrefetchServer: new model's input/output geometry (T, addr_dim, pc_dim, out_dim) "
         "does not match the serving model");
   }
+}
+
+/// Rejects the config values that size threads, rings and batch buffers
+/// when they exceed their bounds (a negative environment value or CLI
+/// argument reads as a huge unsigned one).
+void check_bounds(const ServeConfig& c) {
+  auto bound = [](const char* name, std::size_t value, std::size_t max) {
+    if (value > max) {
+      throw std::invalid_argument(std::string("PrefetchServer: ") + name + " " +
+                                  std::to_string(value) + " exceeds " + std::to_string(max));
+    }
+  };
+  bound("shards", c.shards, kMaxShards);
+  bound("queue_capacity", c.queue_capacity, kMaxRingCapacity);
+  bound("completion_capacity", c.completion_capacity, kMaxRingCapacity);
+  bound("batch_cap", c.batch_cap, kMaxRingCapacity);
 }
 
 }  // namespace
@@ -52,6 +69,7 @@ PrefetchServer::PrefetchServer(std::shared_ptr<const tabular::TabularPredictor> 
                                const ServeConfig& config)
     : config_(config), ids_(default_id_generator(config.id_seed)) {
   if (model == nullptr) throw std::invalid_argument("PrefetchServer: null model");
+  check_bounds(config_);
   if (config_.shards == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     config_.shards = hw == 0 ? 1 : hw;

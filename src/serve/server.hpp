@@ -24,13 +24,19 @@
 
 namespace dart::serve {
 
+/// Largest `ServeConfig::shards` a PrefetchServer accepts.
+inline constexpr std::size_t kMaxShards = 1024;
+
 /// Server-wide tuning knobs. `from_env()` reads the `DART_SERVE_*`
-/// environment variables documented in the README knob table.
+/// environment variables documented in the README knob table. The values
+/// that size threads, rings and batch buffers are bounded; the
+/// PrefetchServer constructor rejects a value past its bound.
 struct ServeConfig {
-  std::size_t shards = 0;             ///< shard threads; 0 = hardware concurrency
-  std::size_t queue_capacity = 1024;  ///< per-shard ingress ring depth
-  std::size_t completion_capacity = 1024;  ///< default per-client egress ring depth
-  std::size_t batch_cap = 64;         ///< micro-batch size limit
+  std::size_t shards = 0;  ///< shard threads, <= kMaxShards; 0 = hardware concurrency
+  std::size_t queue_capacity = 1024;  ///< per-shard ingress ring depth, <= kMaxRingCapacity
+  /// Default per-client egress ring depth, <= kMaxRingCapacity.
+  std::size_t completion_capacity = 1024;
+  std::size_t batch_cap = 64;  ///< micro-batch size limit, <= kMaxRingCapacity
   std::size_t linger_us = 50;         ///< max batch-straggler wait
   bool pin_threads = false;           ///< pin shard i to core i
   std::uint64_t id_seed = 0x5eed;     ///< trace-ID generator seed
@@ -113,7 +119,9 @@ class ClientSession {
 class PrefetchServer {
  public:
   /// Serves `model` (shared, immutable — the shares_mutable_model() audit
-  /// in serve/shard.cpp pins why that is required) under `config`.
+  /// in serve/shard.cpp pins why that is required) under `config`. Throws
+  /// std::invalid_argument, before any thread or ring exists, when a
+  /// `config` value exceeds its documented bound.
   PrefetchServer(std::shared_ptr<const tabular::TabularPredictor> model,
                  const ServeConfig& config);
 
@@ -128,7 +136,8 @@ class PrefetchServer {
 
   /// Opens a client session bound to the next shard (round-robin).
   /// `completion_capacity` 0 uses the config default; it must be at least
-  /// the client's maximum in-flight window.
+  /// the client's maximum in-flight window and at most kMaxRingCapacity
+  /// (std::invalid_argument otherwise).
   std::unique_ptr<ClientSession> connect(std::size_t completion_capacity = 0);
 
   /// Atomically publishes `model` as a new epoch; shards adopt it at their

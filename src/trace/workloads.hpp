@@ -18,11 +18,11 @@
 // direct array), so a "key" becomes the short burst of cache-line accesses a
 // real KV/index structure would issue. Everything downstream — sweeps
 // (core::ExperimentRunner), `dart_run --simulate`, and the serving load
-// generator (serve::run_client_load) — consumes Workloads, so the same
-// corpus drives all three. All draws route through common/rng.hpp +
-// common/detmath.hpp: a (spec, n, seed) triple yields a bit-identical trace
-// on every platform and standard library, pinned by golden content-hash
-// tests.
+// generator behind `dart_run --serve` (serve::run_client_load) — consumes
+// Workloads, so the same corpus drives all three. All draws route through
+// common/rng.hpp + common/detmath.hpp: a (spec, n, seed) triple yields a
+// bit-identical trace on every platform and standard library, pinned by
+// golden content-hash tests.
 #pragma once
 
 #include <cstdint>

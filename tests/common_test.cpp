@@ -193,8 +193,9 @@ TEST(RngGolden, Mix64AndWyrandPinned) {
   EXPECT_EQ(wyrand_next(state), 0x8cf880c22eebfadfULL);
 }
 
-// derive_seed feeds stream decorrelation everywhere (loadgen jitter, fault
-// draws, pipeline sub-seeds); the serve layer pins these exact values.
+// derive_seed feeds stream decorrelation everywhere (loadgen traces and
+// arrivals, fault draws, pipeline sub-seeds); the serve layer pins these
+// exact values.
 TEST(RngGolden, DeriveSeedPinned) {
   EXPECT_EQ(derive_seed(42, 0), 0xbdd732262feb6e95ULL);
   EXPECT_EQ(derive_seed(42, 7), 0xccf635ee9e9e2fa4ULL);

@@ -2,7 +2,8 @@
 // the deterministic fault-injection matrix — slow shard + deadline storm,
 // stalled shard + watchdog restart, corrupt/truncated artifact swap
 // quarantine, dropped park wakes, ring saturation with injected submit
-// rejection, and degradation under sustained overload.
+// rejection, injected refusals under the open-loop load generator, and
+// degradation under sustained overload.
 //
 // The contract under test: every submitted request resolves to exactly one
 // of {completed with the correct trace ID and bit-exact probabilities,
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -27,6 +29,7 @@
 #include "io/artifact.hpp"
 #include "nn/tensor.hpp"
 #include "nn/transformer.hpp"
+#include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "tabular/tabular_predictor.hpp"
 #include "tabular/tabularizer.hpp"
@@ -456,6 +459,69 @@ TEST(ServeChaos, SaturatedTinyRingWithInjectedRejectionsLosesNothing) {
   EXPECT_EQ(o.id_mismatches, 0u);
   EXPECT_EQ(o.bad_probs, 0u);
   EXPECT_GT(common::fault_injector().counters().submits_rejected, 0u);
+}
+
+// Under injected refusals the open-loop generator counts each refused
+// submit as a miss at +infinity latency and never retries it, so the
+// refusals show in the tail instead of hiding in client-side queueing.
+TEST(ServeChaos, RefusedSubmitsAreMissesNotRetries) {
+  FaultGuard guard;
+  const nn::ModelConfig arch = tiny_arch();
+  ServeConfig config;
+  config.shards = 2;
+  PrefetchServer server(make_model(1), config);
+  LoadOptions load;
+  load.streams = 2;
+  load.requests_per_stream = 400;
+  load.rate_per_s = 2000.0;
+  load.trace_accesses = 4096;
+  load.prep.history = arch.seq_len;
+  load.prep.addr_segments = arch.addr_dim;
+  load.prep.pc_segments = arch.pc_dim;
+  load.prep.bitmap_size = arch.out_dim;
+  common::fault_injector().install("reject-submit:p=0.25,seed=9");
+  const LoadReport report = run_client_load(server, load);
+
+  const std::uint64_t planned = load.streams * load.requests_per_stream;
+  EXPECT_GT(report.missed, 0u);
+  EXPECT_EQ(report.missed, common::fault_injector().counters().submits_rejected);
+  EXPECT_EQ(report.completed + report.shed + report.missed, planned);
+  EXPECT_EQ(report.id_mismatches, 0u);
+  EXPECT_TRUE(std::isinf(report.p99_us));
+  EXPECT_TRUE(std::isfinite(report.p50_us));
+}
+
+// A drain that gives up with requests still inside a slow shard counts
+// them as lost, and stops the server before the sessions and buffers those
+// requests borrowed are freed, so no shard writes into freed client memory
+// (the ASan and TSan builds would report it).
+TEST(ServeChaos, DrainGiveUpCountsLostAndStopsServerBeforeFreeingBuffers) {
+  FaultGuard guard;
+  const nn::ModelConfig arch = tiny_arch();
+  ServeConfig config = chaos_config();
+  config.watchdog_ms = 0;  // the slow batch is slow, not stalled
+  PrefetchServer server(make_model(1), config);
+  LoadOptions load;
+  load.streams = 1;
+  load.requests_per_stream = 16;
+  load.rate_per_s = 10000.0;
+  load.trace_accesses = 256;
+  load.prep.history = arch.seq_len;
+  load.prep.addr_segments = arch.addr_dim;
+  load.prep.pc_segments = arch.pc_dim;
+  load.prep.bitmap_size = arch.out_dim;
+  // The first batch sleeps 300 ms, far past the 20 ms give-up.
+  common::fault_injector().install("slow-shard:shard=0,us=300000,batches=1");
+  const LoadReport report = run_client_load(server, load, std::chrono::milliseconds(20));
+
+  EXPECT_EQ(report.submitted, load.requests_per_stream);
+  EXPECT_EQ(report.missed, 0u);
+  EXPECT_LT(report.completed + report.shed, report.submitted) << "the slow batch must be lost";
+  EXPECT_EQ(report.id_mismatches, 0u);
+  EXPECT_TRUE(std::isinf(report.p99_us));
+  // Every accepted request resolved inside run_client_load, lost ones too.
+  const ServeStatsSummary stats = server.stats();
+  EXPECT_EQ(stats.requests + stats.shed, report.submitted);
 }
 
 // ------------------------------------- degradation under overload

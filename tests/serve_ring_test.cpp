@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,15 @@ TEST(CeilPow2, RoundsUpWithMinimumTwo) {
   EXPECT_EQ(ceil_pow2(3), 4u);
   EXPECT_EQ(ceil_pow2(64), 64u);
   EXPECT_EQ(ceil_pow2(65), 128u);
+}
+
+TEST(CeilPow2, RejectsCapacitiesPastTheBound) {
+  EXPECT_EQ(ceil_pow2(kMaxRingCapacity), kMaxRingCapacity);
+  EXPECT_THROW(ceil_pow2(kMaxRingCapacity + 1), std::invalid_argument);
+  // Past 2^63, doubling would wrap to 0 and never reach n.
+  EXPECT_THROW(ceil_pow2(std::numeric_limits<std::size_t>::max()), std::invalid_argument);
+  EXPECT_THROW(SpscRing<int>(kMaxRingCapacity + 1), std::invalid_argument);
+  EXPECT_THROW(MpscRing<int>(kMaxRingCapacity + 1), std::invalid_argument);
 }
 
 TEST(SpscRing, FifoAcrossManyWraparounds) {

@@ -1,11 +1,15 @@
 // Integration tests for the prefetch-as-a-service engine (DESIGN.md §9):
 // end-to-end correctness of multi-client serving vs the direct query path,
 // ingress backpressure, model hot-swap (no request lost, none served by a
-// torn artifact), stats plumbing, and the shares_mutable_model() audit.
+// torn artifact), stats plumbing, the bounds on the values that size
+// threads, rings and load buffers, the open-loop load generator's
+// per-request accounting, and the shares_mutable_model() audit.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -322,6 +326,99 @@ TEST(PrefetchServer, StopIsIdempotentAndStatsSurviveIt) {
   server.stop();
   server.stop();  // idempotent
   EXPECT_EQ(server.stats().requests, 1u);
+}
+
+TEST(PrefetchServer, RejectsUnboundedSizesBeforeStartingThreads) {
+  const auto model = tiny_predictor(1, tiny_arch());
+  // std::stoul("-1") and a negative DART_SERVE_* value both read as this.
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  for (std::size_t ServeConfig::*field :
+       {&ServeConfig::queue_capacity, &ServeConfig::completion_capacity, &ServeConfig::batch_cap}) {
+    for (const std::size_t value : {kMaxRingCapacity + 1, huge}) {
+      ServeConfig config = tiny_config(1);
+      config.*field = value;
+      EXPECT_THROW(std::make_unique<PrefetchServer>(model, config), std::invalid_argument);
+    }
+  }
+  ServeConfig config = tiny_config(1);
+  config.shards = huge;
+  EXPECT_THROW(std::make_unique<PrefetchServer>(model, config), std::invalid_argument);
+
+  // The repo benchmark's serve-open configuration stays inside the bounds.
+  config.shards = 2;
+  config.queue_capacity = 2048;
+  PrefetchServer server(model, config);
+  EXPECT_NE(server.connect(1024), nullptr);
+  EXPECT_THROW(server.connect(huge), std::invalid_argument);
+}
+
+/// A small load whose feature geometry matches tiny_arch().
+LoadOptions tiny_load(const nn::ModelConfig& arch) {
+  LoadOptions load;
+  load.streams = 2;
+  load.requests_per_stream = 400;
+  load.rate_per_s = 2000.0;
+  load.trace_accesses = 4096;
+  load.prep.history = arch.seq_len;
+  load.prep.addr_segments = arch.addr_dim;
+  load.prep.pc_segments = arch.pc_dim;
+  load.prep.bitmap_size = arch.out_dim;
+  return load;
+}
+
+TEST(RunClientLoad, OpenLoopAccountsForEveryPlannedRequest) {
+  const nn::ModelConfig arch = tiny_arch();
+  ServeConfig config;
+  config.shards = 2;
+  PrefetchServer server(tiny_predictor(1, arch), config);
+  const LoadOptions load = tiny_load(arch);
+  const LoadReport report = run_client_load(server, load);
+
+  const std::uint64_t planned = load.streams * load.requests_per_stream;
+  EXPECT_EQ(report.submitted, planned);
+  EXPECT_EQ(report.completed, planned);
+  EXPECT_EQ(report.shed, 0u);
+  EXPECT_EQ(report.missed, 0u);
+  EXPECT_EQ(report.id_mismatches, 0u);
+  const ServeStatsSummary stats = server.stats();
+  EXPECT_EQ(stats.requests, report.completed);
+  EXPECT_EQ(stats.deadline_missed, 0u);
+  EXPECT_EQ(stats.watchdog_restarts, 0u);
+  EXPECT_EQ(stats.reload_rejected, 0u);
+  EXPECT_TRUE(std::isfinite(report.p50_us));
+  EXPECT_TRUE(std::isfinite(report.p99_us));
+  EXPECT_LE(report.p50_us, report.p99_us);
+}
+
+TEST(RunClientLoad, RejectsUnboundedLoadShapesBeforeConnecting) {
+  const nn::ModelConfig arch = tiny_arch();
+  PrefetchServer server(tiny_predictor(1, arch), tiny_config(2));
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<LoadOptions> bad;
+  for (const std::size_t streams : {std::size_t{0}, kMaxStreams + 1, huge}) {
+    bad.push_back(tiny_load(arch));
+    bad.back().streams = streams;
+  }
+  for (const std::size_t requests : {std::size_t{0}, kMaxPlannedRequests / 2 + 1, huge}) {
+    bad.push_back(tiny_load(arch));
+    bad.back().requests_per_stream = requests;  // 2 streams: huge would wrap the product
+  }
+  // 800 planned requests: 0.1/s and 1e-12/s spread them past kMaxScheduleSeconds.
+  for (const double rate : {0.0, -1.0, nan, inf, 0.1, 1e-12}) {
+    bad.push_back(tiny_load(arch));
+    bad.back().rate_per_s = rate;
+  }
+  for (const std::size_t accesses : {std::size_t{0}, kMaxTraceAccesses + 1}) {
+    bad.push_back(tiny_load(arch));
+    bad.back().trace_accesses = accesses;
+  }
+  for (const LoadOptions& load : bad) {
+    EXPECT_THROW(run_client_load(server, load), std::invalid_argument);
+  }
+  // No session was opened: the next one still lands on shard 0.
+  EXPECT_EQ(server.connect()->shard(), 0u);
 }
 
 TEST(RunClientLoad, RejectsMismatchedPreprocessGeometry) {

@@ -16,9 +16,13 @@
 //   --simulate  run the timing simulator with the artifact as the LLC
 //               prefetcher vs a no-prefetcher baseline (Fig. 14's metric).
 //   --serve     stand up the prefetch-as-a-service engine (DESIGN.md §9)
-//               on the artifact and drive it with simulated client streams
-//               replaying the artifact's app; prints the aggregate
-//               throughput, latency quantiles, and per-shard counters.
+//               on the artifact and drive it with open-loop Poisson
+//               arrivals from client streams replaying the artifact's app;
+//               prints the offered and achieved rate, client and server
+//               latency quantiles, misses, and per-shard counters. Exits 1
+//               when a request is lost or mis-routed, when none completes,
+//               or, with no fault, deadline or watermark set, when any is
+//               missed or shed.
 //
 // `--app`/`--workload` override the workload recorded in the artifact
 // (e.g. to measure how a model trained on one workload generalizes to
@@ -26,9 +30,11 @@
 // names, "trace:zipfian,theta=0.99,footprint=64M,seed=42", "ycsb-b", or
 // "tracefile:path=trace.dtrc". `--queries`
 // caps the bench query count (default DART_BENCH_QUERIES or 4096).
-// `--streams`/`--requests` shape the serve client load and
-// `--shards`/`--batch-cap`/`--linger-us` the serve engine, overriding
-// the corresponding DART_SERVE_* environment knobs. DART_QUANT=int16|int8
+// `--streams`/`--requests` shape the serve client load (DART_SERVE_RATE
+// sets its offered rate) and `--shards`/`--batch-cap`/`--linger-us` the
+// serve engine, overriding the corresponding DART_SERVE_* environment
+// knobs; a value past its bound (serve/loadgen.hpp, serve/server.hpp) is
+// rejected before any thread starts. DART_QUANT=int16|int8
 // serves the artifact's linear tables quantized (DESIGN.md §10).
 // DART_FAULT=<spec> arms the deterministic fault injector for the serve
 // run (DESIGN.md §11), e.g. DART_FAULT="slow-shard:shard=0,us=2000".
@@ -160,7 +166,7 @@ int run_simulate(const trace::Workload& workload, const io::ArtifactInfo& info,
   return 0;
 }
 
-/// Serves the artifact through the sharded engine under simulated client
+/// Serves the artifact through the sharded engine under open-loop client
 /// load (serve::run_client_load), replaying `workload` on every stream.
 /// Engine and load shape come from the DART_SERVE_* environment, already
 /// overridden by the CLI flags in main.
@@ -193,15 +199,17 @@ int run_serve(const trace::Workload& workload, const io::ArtifactInfo& info,
   std::printf("serve      : %zu streams x %zu requests on %s over %zu shard(s)\n",
               report.streams, load.requests_per_stream, load_names.c_str(),
               server.num_shards());
-  std::printf("  throughput %.0f predictions/sec, p50 %.1f us, p99 %.1f us\n",
-              report.predictions_per_sec, report.server.p50_ns / 1000.0,
-              report.server.p99_ns / 1000.0);
-  std::printf("  %llu completed + %llu shed / %llu submitted, %llu backpressure rejects, "
-              "%llu id mismatches\n",
+  std::printf("  rate       offered %.0f/s, achieved %.0f predictions/sec\n", load.rate_per_s,
+              report.predictions_per_sec);
+  std::printf("  client     p50 %.1f us, p99 %.1f us (from intended send, misses included)\n",
+              report.p50_us, report.p99_us);
+  std::printf("  server     p50 %.1f us, p99 %.1f us (enqueue→completion)\n",
+              report.server.p50_ns / 1000.0, report.server.p99_ns / 1000.0);
+  std::printf("  %llu completed + %llu shed / %llu submitted, %llu missed, %llu id mismatches\n",
               static_cast<unsigned long long>(report.completed),
               static_cast<unsigned long long>(report.shed),
               static_cast<unsigned long long>(report.submitted),
-              static_cast<unsigned long long>(report.rejected),
+              static_cast<unsigned long long>(report.missed),
               static_cast<unsigned long long>(report.id_mismatches));
   std::printf("  %.1f avg batch occupancy over %llu micro-batches\n", report.server.avg_batch,
               static_cast<unsigned long long>(report.server.batches));
@@ -224,6 +232,17 @@ int run_serve(const trace::Workload& workload, const io::ArtifactInfo& info,
   }
   if (report.completed + report.shed != report.submitted || report.id_mismatches != 0) {
     std::fprintf(stderr, "serve: lost or mis-routed responses\n");
+    return 1;
+  }
+  if (report.completed == 0) {
+    std::fprintf(stderr, "serve: no request completed\n");
+    return 1;
+  }
+  // Without an armed fault, a deadline or a watermark nothing licenses the
+  // server to refuse or shed a request at this load.
+  const bool may_drop = !fault_spec.empty() || config.deadline_us != 0 || config.watermark_hi != 0;
+  if (!may_drop && (report.missed != 0 || report.shed != 0)) {
+    std::fprintf(stderr, "serve: missed or shed requests with no fault, deadline or watermark\n");
     return 1;
   }
   return 0;

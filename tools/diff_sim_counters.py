@@ -6,9 +6,9 @@ Usage: diff_sim_counters.py <baseline.json> <candidate.json> [--ignore PATTERN].
 Schema-agnostic: the two files are compared recursively, field by field,
 and any leaf mismatch is reported with its full path (e.g.
 ``configs[2].counters.pf_issued``). Works for every committed baseline —
-bench_sim_throughput.json, bench_batch_inference.json, bench_serve.json —
-and any future bench that separates deterministic counters from
-host-dependent measurements.
+bench_sim_throughput.json, bench_batch_inference.json — and any future
+bench that separates deterministic counters from host-dependent
+measurements.
 
 Host-dependent fields are excluded by key name. The default ignore set
 covers the conventions used across the repo's bench JSON schemas:
