@@ -25,11 +25,11 @@ void check_geometry(const nn::ModelConfig& a, const nn::ModelConfig& b) {
   }
 }
 
-/// Rejects the config values that size threads, rings and batch buffers
-/// when they exceed their bounds (a negative environment value or CLI
-/// argument reads as a huge unsigned one).
+/// Rejects the config values that size threads, rings and batch buffers,
+/// and the timers, when they exceed their bounds (a negative environment
+/// value or CLI argument reads as a huge unsigned one).
 void check_bounds(const ServeConfig& c) {
-  auto bound = [](const char* name, std::size_t value, std::size_t max) {
+  auto bound = [](const char* name, std::uint64_t value, std::uint64_t max) {
     if (value > max) {
       throw std::invalid_argument(std::string("PrefetchServer: ") + name + " " +
                                   std::to_string(value) + " exceeds " + std::to_string(max));
@@ -39,6 +39,9 @@ void check_bounds(const ServeConfig& c) {
   bound("queue_capacity", c.queue_capacity, kMaxRingCapacity);
   bound("completion_capacity", c.completion_capacity, kMaxRingCapacity);
   bound("batch_cap", c.batch_cap, kMaxRingCapacity);
+  // Past these the deadline stamp and the watchdog's sleep would wrap.
+  bound("deadline_us", c.deadline_us, kMaxTimerSeconds * 1000 * 1000);
+  bound("watchdog_ms", c.watchdog_ms, kMaxTimerSeconds * 1000);
 }
 
 }  // namespace
@@ -50,8 +53,6 @@ ServeConfig ServeConfig::from_env() {
       static_cast<std::size_t>(common::env_int("DART_SERVE_QUEUE", static_cast<std::int64_t>(c.queue_capacity)));
   c.batch_cap =
       static_cast<std::size_t>(common::env_int("DART_SERVE_BATCH", static_cast<std::int64_t>(c.batch_cap)));
-  c.linger_us =
-      static_cast<std::size_t>(common::env_int("DART_SERVE_LINGER_US", static_cast<std::int64_t>(c.linger_us)));
   c.pin_threads = common::env_int("DART_SERVE_PIN", 0) != 0;
   c.deadline_us = static_cast<std::uint64_t>(
       common::env_int("DART_SERVE_DEADLINE_US", static_cast<std::int64_t>(c.deadline_us)));
@@ -83,14 +84,7 @@ PrefetchServer::PrefetchServer(std::shared_ptr<const tabular::TabularPredictor> 
                       epoch_.load(std::memory_order_relaxed)};
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    ShardConfig sc;
-    sc.queue_capacity = config_.queue_capacity;
-    sc.batch_cap = config_.batch_cap;
-    sc.linger_us = config_.linger_us;
-    sc.pin_core = config_.pin_threads ? static_cast<int>(i) : -1;
-    sc.watermark_hi = config_.watermark_hi;
-    sc.watermark_lo = config_.watermark_lo;
-    shards_.push_back(std::make_unique<ShardEngine>(i, sc, current_model(), epoch_,
+    shards_.push_back(std::make_unique<ShardEngine>(i, config_, current_model(), epoch_,
                                                     [this] { return current_model(); }));
   }
   if (config_.watchdog_ms > 0) {

@@ -2,11 +2,11 @@
 // over `.dart` artifacts. N independent client streams push requests
 // through lock-free MPSC ingress rings into a shard-per-core engine; each
 // shard owns an immutable `TabularPredictor` epoch and one reusable
-// `InferenceWorkspace`, micro-batches queued requests into the batch-32/64
-// blocks where `bench_batch_inference.json` shows peak throughput, and
-// answers over per-client SPSC completion rings. Artifacts hot-swap without
-// dropping in-flight requests: shards adopt a new epoch only at batch
-// boundaries and the old model is retired by epoch (shared_ptr) reclamation.
+// `InferenceWorkspace`, serves whatever its ring holds (up to `batch_cap`)
+// as one micro-batch without waiting for more, and answers over per-client
+// SPSC completion rings. Artifacts hot-swap without dropping in-flight
+// requests: shards adopt a new epoch only at batch boundaries and the old
+// model is retired by epoch (shared_ptr) reclamation.
 #pragma once
 
 #include <atomic>
@@ -26,32 +26,35 @@ namespace dart::serve {
 
 /// Largest `ServeConfig::shards` a PrefetchServer accepts.
 inline constexpr std::size_t kMaxShards = 1024;
+/// Longest serve timer a PrefetchServer accepts, in seconds: one hour, the
+/// horizon run_client_load also caps its arrival schedule at.
+inline constexpr std::uint64_t kMaxTimerSeconds = 3600;
 
 /// Server-wide tuning knobs. `from_env()` reads the `DART_SERVE_*`
 /// environment variables documented in the README knob table. The values
-/// that size threads, rings and batch buffers are bounded; the
-/// PrefetchServer constructor rejects a value past its bound.
+/// that size threads, rings and batch buffers, and the timers, are bounded;
+/// the PrefetchServer constructor rejects a value past its bound.
 struct ServeConfig {
   std::size_t shards = 0;  ///< shard threads, <= kMaxShards; 0 = hardware concurrency
   std::size_t queue_capacity = 1024;  ///< per-shard ingress ring depth, <= kMaxRingCapacity
   /// Default per-client egress ring depth, <= kMaxRingCapacity.
   std::size_t completion_capacity = 1024;
   std::size_t batch_cap = 64;  ///< micro-batch size limit, <= kMaxRingCapacity
-  std::size_t linger_us = 50;         ///< max batch-straggler wait
   bool pin_threads = false;           ///< pin shard i to core i
   std::uint64_t id_seed = 0x5eed;     ///< trace-ID generator seed
-  /// Per-request deadline stamped at submit, microseconds; 0 = none. A
-  /// request still queued past its deadline is completed as kShed instead
-  /// of served (DESIGN.md §11).
+  /// Per-request deadline stamped at submit, microseconds; 0 = none, at
+  /// most kMaxTimerSeconds. A request still queued past its deadline is
+  /// completed as kShed instead of served (DESIGN.md §11).
   std::uint64_t deadline_us = 0;
   /// Queue-depth admission watermarks; 0 disables overload control. Above
   /// `watermark_hi` a shard refuses new submits and, sustained, degrades to
   /// its int8 twin epoch; it recovers at `watermark_lo` (0 = hi/2).
   std::size_t watermark_hi = 0;
   std::size_t watermark_lo = 0;
-  /// Watchdog sweep interval in milliseconds; 0 disables the watchdog. A
-  /// shard whose heartbeat is unchanged for `watchdog_miss_budget`
-  /// consecutive sweeps is declared stalled and its thread restarted.
+  /// Watchdog sweep interval in milliseconds; 0 disables the watchdog, at
+  /// most kMaxTimerSeconds. A shard whose heartbeat is unchanged for
+  /// `watchdog_miss_budget` consecutive sweeps is declared stalled and its
+  /// thread restarted.
   std::size_t watchdog_ms = 1000;
   std::size_t watchdog_miss_budget = 8;
   /// swap_artifact quarantine policy: a load rejected as io::ArtifactError
@@ -67,9 +70,9 @@ struct ServeConfig {
   tabular::QuantMode quant = tabular::QuantMode::kOff;
 
   /// Defaults overridden by DART_SERVE_SHARDS / DART_SERVE_QUEUE /
-  /// DART_SERVE_BATCH / DART_SERVE_LINGER_US / DART_SERVE_PIN /
-  /// DART_SERVE_DEADLINE_US / DART_SERVE_WATERMARK_HI /
-  /// DART_SERVE_WATERMARK_LO / DART_SERVE_WATCHDOG_MS / DART_QUANT.
+  /// DART_SERVE_BATCH / DART_SERVE_PIN / DART_SERVE_DEADLINE_US /
+  /// DART_SERVE_WATERMARK_HI / DART_SERVE_WATERMARK_LO /
+  /// DART_SERVE_WATCHDOG_MS / DART_QUANT.
   static ServeConfig from_env();
 };
 

@@ -5,6 +5,7 @@
 
 #include "common/fault.hpp"
 #include "common/thread_pool.hpp"
+#include "serve/server.hpp"
 
 namespace dart::serve {
 
@@ -37,7 +38,7 @@ constexpr std::chrono::microseconds kStallPoll{50};
 
 }  // namespace
 
-ShardEngine::ShardEngine(std::size_t index, const ShardConfig& config, ModelEpoch initial,
+ShardEngine::ShardEngine(std::size_t index, const ServeConfig& config, ModelEpoch initial,
                          const std::atomic<std::uint64_t>& latest_epoch,
                          std::function<ModelEpoch()> reload)
     : index_(index),
@@ -201,9 +202,7 @@ void ShardEngine::update_overload_state() {
 }
 
 void ShardEngine::run() {
-  if (config_.pin_core >= 0) {
-    common::pin_current_thread(static_cast<std::size_t>(config_.pin_core));
-  }
+  if (config_.pin_threads) common::pin_current_thread(index_);
   // Size the arena once for the largest batch; hot-swaps re-ensure (the
   // arena only ever grows, so a larger model never overflows mid-batch).
   workspace_.ensure(current_.model->tabular_arch(config_.batch_cap));
@@ -231,22 +230,8 @@ void ShardEngine::run() {
       continue;
     }
     idle_spins = 0;
-    // Linger: give stragglers a bounded window to fill the batch — batching
-    // efficiency is worth a few tens of microseconds of latency, but only
-    // while traffic is live (never during shutdown drain, never while
-    // degraded: an overloaded shard's queue refills the batch by itself).
-    const std::size_t linger_us = degraded_ ? 0 : config_.linger_us;
-    if (n < config_.batch_cap && linger_us > 0 && !stop_.load(std::memory_order_acquire)) {
-      const std::uint64_t deadline = now_ns() + linger_us * 1000ULL;
-      while (n < config_.batch_cap && now_ns() < deadline &&
-             !abandon_.load(std::memory_order_acquire)) {
-        if (!ingress_.try_pop(batch[n])) {
-          std::this_thread::yield();
-        } else {
-          ++n;
-        }
-      }
-    }
+    // Serve what the ring held without waiting for more: under load, the
+    // requests that arrive while this batch computes form the next one.
     maybe_adopt_epoch();
 
     // Fault hooks fire where real pathologies bite: after batch assembly,
@@ -291,7 +276,7 @@ void ShardEngine::run() {
 void ShardEngine::serve_batch(Request* batch, std::size_t n) {
   // Degraded shards serve the epoch's pre-built int8 twin (published by the
   // server with the epoch; no shared predictor is ever mutated here). A
-  // twin-less epoch degrades batching only (linger collapsed in run()).
+  // twin-less epoch serves its primary model.
   const tabular::TabularPredictor& model =
       (degraded_ && current_.degraded != nullptr) ? *current_.degraded : *current_.model;
   const nn::ModelConfig& a = model.arch();

@@ -1,10 +1,10 @@
 // One serving shard (DESIGN.md §9): a single-threaded inference engine that
 // owns an MPSC ingress ring, one `tabular::InferenceWorkspace`, and a
-// shared-immutable `TabularPredictor` epoch. The shard thread drains queued
-// requests into micro-batches (up to `batch_cap`, lingering a bounded
-// `linger_us` for stragglers), runs them through the zero-allocation block
-// query path, and pushes responses onto each request's per-client SPSC
-// completion ring.
+// shared-immutable `TabularPredictor` epoch. The shard thread pops whatever
+// its ring holds, up to `batch_cap`, as one micro-batch and runs it through
+// the zero-allocation block query path at once; requests that arrive while a
+// batch computes form the next one. Responses go onto each request's
+// per-client SPSC completion ring.
 //
 // Model hot-swap: the owning server bumps an epoch counter; the shard
 // adopts the new `std::shared_ptr<const TabularPredictor>` strictly at a
@@ -79,26 +79,17 @@ struct ModelEpoch {
   std::uint64_t epoch = 0;
 };
 
-/// Per-shard tuning knobs (the server derives them from ServeConfig).
-struct ShardConfig {
-  std::size_t queue_capacity = 1024;  ///< ingress ring depth (rounded to 2^k)
-  std::size_t batch_cap = 64;         ///< micro-batch size limit
-  std::size_t linger_us = 50;         ///< max wait for batch stragglers
-  int pin_core = -1;                  ///< >= 0: pin the shard thread to this core
-  /// Queue-depth admission watermarks (0 = overload control off). At depth
-  /// >= hi the shard stops admitting (submit fails, shed-newest); it
-  /// resumes at depth <= lo — the gap is the hysteresis band. Sustained
-  /// depth >= hi also drives Healthy -> Degraded (see DESIGN.md §11).
-  std::size_t watermark_hi = 0;
-  std::size_t watermark_lo = 0;
-};
+struct ServeConfig;
 
 class ShardEngine {
  public:
-  /// Creates the shard and starts its serving thread. `latest_epoch` is the
-  /// server's published epoch counter; when it moves past the local epoch,
-  /// the shard calls `reload` (at a batch boundary) to adopt the new model.
-  ShardEngine(std::size_t index, const ShardConfig& config, ModelEpoch initial,
+  /// Creates shard `index` of a server configured by `config` (resolved:
+  /// nonzero shards and batch_cap, watermark_lo filled in) and starts its
+  /// serving thread; it pins to core `index` when `config.pin_threads`.
+  /// `config` must outlive the shard. `latest_epoch` is the server's
+  /// published epoch counter; when it moves past the local epoch, the shard
+  /// calls `reload` (at a batch boundary) to adopt the new model.
+  ShardEngine(std::size_t index, const ServeConfig& config, ModelEpoch initial,
               const std::atomic<std::uint64_t>& latest_epoch, std::function<ModelEpoch()> reload);
 
   /// Stops and joins the shard thread (draining the ingress ring first).
@@ -153,7 +144,7 @@ class ShardEngine {
   void park();
 
   const std::size_t index_;
-  const ShardConfig config_;
+  const ServeConfig& config_;
   MpscRing<Request> ingress_;
   const std::atomic<std::uint64_t>& latest_epoch_;
   std::function<ModelEpoch()> reload_;
@@ -162,7 +153,7 @@ class ShardEngine {
   ModelEpoch current_;
   tabular::InferenceWorkspace workspace_;
   std::vector<float> staging_addr_, staging_pc_, staging_probs_;
-  bool degraded_ = false;          ///< serving the int8 twin, linger collapsed
+  bool degraded_ = false;          ///< serving the epoch's int8 twin
   std::size_t overload_streak_ = 0;  ///< consecutive depth samples >= hi
 
   ShardStats stats_;

@@ -56,7 +56,7 @@ class LatencyHistogram {
 /// after a successful restart (or when the heartbeat resumes on its own).
 enum class ShardState : std::uint32_t {
   kHealthy = 0,   ///< serving the primary epoch, normal batching
-  kDegraded = 1,  ///< sustained overload: int8 twin epoch, linger collapsed to 0
+  kDegraded = 1,  ///< sustained overload: serving the epoch's int8 twin
   kStalled = 2,   ///< watchdog declared the shard thread unresponsive
 };
 

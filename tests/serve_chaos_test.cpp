@@ -1,9 +1,10 @@
 // Chaos tests for the overload-resilient serving layer (DESIGN.md §11):
 // the deterministic fault-injection matrix — slow shard + deadline storm,
 // stalled shard + watchdog restart, corrupt/truncated artifact swap
-// quarantine, dropped park wakes, ring saturation with injected submit
-// rejection, injected refusals under the open-loop load generator, and
-// degradation under sustained overload.
+// quarantine, dropped park wakes, a backlog behind a slow batch served as
+// one batch, ring saturation with injected submit rejection, injected
+// refusals under the open-loop load generator, and degradation under
+// sustained overload.
 //
 // The contract under test: every submitted request resolves to exactly one
 // of {completed with the correct trace ID and bit-exact probabilities,
@@ -100,7 +101,6 @@ ServeConfig chaos_config() {
   c.queue_capacity = 64;
   c.completion_capacity = 64;
   c.batch_cap = 8;
-  c.linger_us = 20;
   return c;
 }
 
@@ -436,6 +436,49 @@ TEST(ServeChaos, DroppedParkWakesDelayButNeverLoseRequests) {
   }
   EXPECT_GT(common::fault_injector().counters().wakes_dropped, 0u)
       << "the fault never fired; the test exercised nothing";
+}
+
+// --------------------------------------------- self-clocking batches
+
+TEST(ServeChaos, BacklogFormsBatchesWithoutWaiting) {
+  FaultGuard guard;
+  const nn::ModelConfig arch = tiny_arch();
+  const auto model = make_model(1);
+  const InputBank bank(arch, 8);
+  const auto ref = reference_probs(*model, bank, arch.out_dim);
+
+  const ServeConfig config = chaos_config();
+  ASSERT_EQ(config.batch_cap, 8u);
+  PrefetchServer server(model, config);
+  // The first batch takes 20 ms: whatever it did not pop queues up behind
+  // it and must come out as one batch, with no wait for stragglers.
+  common::fault_injector().install("slow-shard:shard=0,us=20000,batches=1");
+  auto session = server.connect(8);
+  std::vector<std::vector<float>> probs(8, std::vector<float>(arch.out_dim));
+  std::vector<std::uint64_t> ids(8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    ids[i] = session->submit(bank.addr_of(i), bank.pc_of(i), probs[i].data());
+    ASSERT_NE(ids[i], 0u);
+  }
+  std::vector<Response> responses;
+  ASSERT_TRUE(wait_until(
+      [&] {
+        Response r;
+        while (session->poll(r)) responses.push_back(r);
+        return responses.size() == 8;
+      },
+      2000))
+      << "only " << responses.size() << " of 8 requests came back";
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(responses[i].trace_id, ids[i]) << "a session completes in submission order";
+    EXPECT_EQ(responses[i].status, Response::Status::kOk);
+    EXPECT_EQ(responses[i].probs, probs[i].data());
+    EXPECT_EQ(std::memcmp(probs[i].data(), ref[i].data(), arch.out_dim * sizeof(float)), 0);
+  }
+  EXPECT_EQ(common::fault_injector().counters().slow_batches, 1u);
+  const ServeStatsSummary stats = server.stats();
+  EXPECT_LE(stats.batches, 2u) << "the backlog behind the slow batch must form one batch";
+  EXPECT_GE(stats.avg_batch, 4.0);
 }
 
 // ------------------------------------------------- ring saturation

@@ -133,7 +133,6 @@ ServeConfig tiny_config(std::size_t shards) {
   c.queue_capacity = 64;
   c.completion_capacity = 64;
   c.batch_cap = 8;
-  c.linger_us = 20;
   return c;
 }
 
@@ -343,6 +342,18 @@ TEST(PrefetchServer, RejectsUnboundedSizesBeforeStartingThreads) {
   ServeConfig config = tiny_config(1);
   config.shards = huge;
   EXPECT_THROW(std::make_unique<PrefetchServer>(model, config), std::invalid_argument);
+  // The timers: past these the deadline stamp and the watchdog's sleep wrap.
+  for (const std::uint64_t value : {kMaxTimerSeconds * 1000 * 1000 + 1, std::uint64_t{huge}}) {
+    config = tiny_config(1);
+    config.deadline_us = value;
+    EXPECT_THROW(std::make_unique<PrefetchServer>(model, config), std::invalid_argument);
+  }
+  for (const std::size_t value : {kMaxTimerSeconds * 1000 + 1, huge}) {
+    config = tiny_config(1);
+    config.watchdog_ms = value;
+    EXPECT_THROW(std::make_unique<PrefetchServer>(model, config), std::invalid_argument);
+  }
+  config = tiny_config(1);
 
   // The repo benchmark's serve-open configuration stays inside the bounds.
   config.shards = 2;

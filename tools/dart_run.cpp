@@ -5,7 +5,7 @@
 //
 //   dart_run ARTIFACT.dart [--info] [--bench] [--simulate] [--serve]
 //            [--app NAME] [--workload SPEC] [--queries N] [--streams N]
-//            [--requests N] [--shards N] [--batch-cap N] [--linger-us N]
+//            [--requests N] [--shards N] [--batch-cap N]
 //
 // Modes (default --info; several can be combined in one invocation):
 //   --info      print the artifact header: architecture, tables, storage,
@@ -31,8 +31,8 @@
 // "tracefile:path=trace.dtrc". `--queries`
 // caps the bench query count (default DART_BENCH_QUERIES or 4096).
 // `--streams`/`--requests` shape the serve client load (DART_SERVE_RATE
-// sets its offered rate) and `--shards`/`--batch-cap`/`--linger-us` the
-// serve engine, overriding the corresponding DART_SERVE_* environment
+// sets its offered rate) and `--shards`/`--batch-cap` the serve engine,
+// overriding the corresponding DART_SERVE_* environment
 // knobs; a value past its bound (serve/loadgen.hpp, serve/server.hpp) is
 // rejected before any thread starts. DART_QUANT=int16|int8
 // serves the artifact's linear tables quantized (DESIGN.md §10).
@@ -66,7 +66,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s ARTIFACT.dart [--info] [--bench] [--simulate] [--serve] "
                "[--app NAME] [--workload SPEC] [--queries N] [--streams N] [--requests N] "
-               "[--shards N] [--batch-cap N] [--linger-us N]\n",
+               "[--shards N] [--batch-cap N]\n",
                argv0);
   return 2;
 }
@@ -289,8 +289,6 @@ int main(int argc, char** argv) try {
       serve_config.shards = static_cast<std::size_t>(std::stoul(value()));
     } else if (arg == "--batch-cap") {
       serve_config.batch_cap = static_cast<std::size_t>(std::stoul(value()));
-    } else if (arg == "--linger-us") {
-      serve_config.linger_us = static_cast<std::size_t>(std::stoul(value()));
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
       return usage(argv[0]);
