@@ -2,10 +2,17 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
 namespace dart::common {
+
+/// Longest timer a configuration may set, in seconds: one hour. It bounds
+/// the serve deadline and watchdog, the serving load schedule, and the
+/// sweep's per-cell timeout and retry backoff, so no duration built from a
+/// user-set value can wrap.
+inline constexpr std::uint64_t kMaxTimerSeconds = 3600;
 
 /// Monotonic stopwatch; `elapsed_ms()` can be called repeatedly.
 class Stopwatch {

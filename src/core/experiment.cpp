@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <map>
@@ -18,10 +19,10 @@
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/configs.hpp"
 #include "core/result_store.hpp"
-#include "sim/shard_replay.hpp"
 #include "tabular/complexity.hpp"
 
 namespace dart::core {
@@ -187,18 +188,49 @@ bool run_attempt(const std::function<ExperimentCell()>& body, std::uint64_t time
   return false;
 }
 
-// Minimal CSV field handling: quote fields containing commas (spec strings
-// do), matching common::TablePrinter's convention.
-std::string csv_quote(const std::string& field) {
-  if (field.find(',') == std::string::npos) return field;
-  return "\"" + field + "\"";
+/// Rejects the sweep values past their bounds before anything runs: past
+/// these a timed attempt's wait wraps negative (every attempt "times out"
+/// at once) and `cell_retries + 1` wraps to zero attempts.
+void check_bounds(const SweepOptions& sweep) {
+  auto bound = [](const char* name, std::uint64_t value, std::uint64_t max) {
+    if (value > max) {
+      throw std::invalid_argument(std::string("ExperimentRunner: ") + name + " " +
+                                  std::to_string(value) + " exceeds " + std::to_string(max));
+    }
+  };
+  bound("cell_timeout_ms", sweep.cell_timeout_ms, common::kMaxTimerSeconds * 1000);
+  bound("cell_retries", sweep.cell_retries, kMaxCellRetries);
+  bound("backoff_ms", sweep.backoff_ms, common::kMaxTimerSeconds * 1000);
 }
 
+// RFC 4180 CSV fields: a field holding a comma (spec strings do), a quote
+// or a line break is quoted, with embedded quotes doubled; any other field
+// is written as is.
+std::string csv_quote(const std::string& field) {
+  if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
+  std::string out = "\"";
+  for (char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  return out + "\"";
+}
+
+// JSON string body: quotes and backslashes are escaped, and so is every
+// control character below 0x20, which JSON forbids raw inside a string.
 std::string json_escape(const std::string& s) {
   std::string out;
   for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[7];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
   }
   return out;
 }
@@ -220,18 +252,20 @@ const char* cell_status_name(CellStatus status) {
 }
 
 SweepOptions SweepOptions::from_env() {
+  // A negative value is refused, not clamped: -1 would otherwise read as 0,
+  // which means "unlimited" for the timeout.
+  auto non_negative = [](const char* name, std::int64_t fallback) {
+    const std::int64_t v = common::env_int(name, fallback);
+    if (v < 0) {
+      throw std::invalid_argument(std::string(name) + " must be >= 0, got " + std::to_string(v));
+    }
+    return static_cast<std::uint64_t>(v);
+  };
   SweepOptions o;
   o.store_dir = common::env_string("DART_SWEEP_DIR", "");
-  o.cell_timeout_ms = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(0, common::env_int("DART_SWEEP_TIMEOUT_MS", 0)));
-  o.cell_retries = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(0, common::env_int("DART_SWEEP_RETRIES", 2)));
-  o.backoff_ms = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(0, common::env_int("DART_SWEEP_BACKOFF_MS", 10)));
-  o.trace_shards = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, common::env_int("DART_SWEEP_SHARDS", 1)));
-  const std::int64_t warmup = common::env_int("DART_SWEEP_WARMUP", -1);
-  o.shard_warmup = warmup < 0 ? sim::kFullWarmup : static_cast<std::size_t>(warmup);
+  o.cell_timeout_ms = non_negative("DART_SWEEP_TIMEOUT_MS", 0);
+  o.cell_retries = non_negative("DART_SWEEP_RETRIES", 2);
+  o.backoff_ms = non_negative("DART_SWEEP_BACKOFF_MS", 10);
   return o;
 }
 
@@ -338,7 +372,7 @@ bool ExperimentResult::write_csv(const std::string& path) const {
          "storage_bytes,latency_cycles\n";
   out << std::setprecision(12);
   for (const auto& c : cells) {
-    out << csv_quote(c.spec) << ',' << csv_quote(c.prefetcher) << ',' << c.app << ','
+    out << csv_quote(c.spec) << ',' << csv_quote(c.prefetcher) << ',' << csv_quote(c.app) << ','
         << c.baseline_ipc << ',' << c.ipc_improvement << ',' << c.stats.pf_issued << ','
         << c.stats.pf_useful << ',' << c.stats.pf_late << ',' << c.stats.pf_dropped << ','
         << c.stats.llc_accesses << ',' << c.stats.llc_hits << ','
@@ -392,26 +426,20 @@ ExperimentResult ExperimentRunner::run() {
   }
 
   const SweepOptions& sweep = spec_.sweep;
+  check_bounds(sweep);
   // The durable result store (DESIGN.md §13): opened before any work, so a
   // resumed sweep skips every already-committed cell below.
   std::unique_ptr<ResultStore> store;
   if (!sweep.store_dir.empty()) store = std::make_unique<ResultStore>(sweep.store_dir);
 
-  // Cell identity: the pipeline configuration hash, the sweep replay plan
-  // (NN sampling, shard count, warmup), the DART_QUANT default the `dart`
-  // specs inherit, and the simulator's SimStats-semantics generation — a
-  // cell is only reused when it would provably reproduce the stored numbers.
+  // Cell identity: the pipeline configuration hash, the NN trigger
+  // sampling, the DART_QUANT default the `dart` specs inherit, and the
+  // simulator's SimStats-semantics generation — a cell is only reused when
+  // it would provably reproduce the stored numbers.
   auto config_of = [&](const trace::Workload& w) {
     std::ostringstream os;
-    os << pipeline_cache_key(w, spec_.pipeline) << "/nn" << spec_.nn_trigger_sample << "/sh"
-       << sweep.trace_shards << "/w";
-    if (sweep.trace_shards <= 1 || sweep.shard_warmup == sim::kFullWarmup) {
-      os << "full";
-    } else {
-      os << sweep.shard_warmup;
-    }
-    os << "/q" << tabular::quant_mode_name(quant_mode_from_env()) << "/e"
-       << sim::kEngineGeneration;
+    os << pipeline_cache_key(w, spec_.pipeline) << "/nn" << spec_.nn_trigger_sample << "/q"
+       << tabular::quant_mode_name(quant_mode_from_env()) << "/e" << sim::kEngineGeneration;
     return os.str();
   };
 
@@ -486,7 +514,7 @@ ExperimentResult ExperimentRunner::run() {
       const std::string spec_text = spec_.prefetchers[p];
       // The attempt body: everything that may fail or hang, producing a
       // finished cell. Runs inline or on a timed attempt thread.
-      auto simulate = [state, spec_text, sweep, this]() {
+      auto simulate = [state, spec_text, this]() {
         const common::CellFault fault =
             common::fault_injector().on_cell(state->workload.name() + "|" + spec_text);
         if (fault.delay_ms > 0) {
@@ -501,27 +529,12 @@ ExperimentResult ExperimentRunner::run() {
         // lock (cells of other apps and rule-based cells stay concurrent).
         std::unique_lock<std::mutex> model_lock;
         if (pf->shares_mutable_model()) model_lock = std::unique_lock(state->mu);
-        sim::SimStats stats;
-        if (sweep.trace_shards > 1 && !pf->shares_mutable_model()) {
-          // Sharded replay with pinned deterministic merge. Mutable-model
-          // prefetchers are excluded: per-shard instances would contend on
-          // the one shared model, which is neither faster nor meaningful.
-          sim::ShardReplayOptions shard_opts;
-          shard_opts.shards = sweep.trace_shards;
-          shard_opts.warmup = sweep.shard_warmup;
-          stats = sim::run_sharded(
-                      spec_.pipeline.sim, state->pipe.raw_trace(),
-                      [state, spec_text] { return sim::make_prefetcher(spec_text, state->ctx); },
-                      shard_opts)
-                      .merged;
-        } else {
-          sim::Simulator simulator(spec_.pipeline.sim);
-          // Every cell replays through its worker thread's reusable
-          // workspace: after the pool warms up, a sweep of any size
-          // performs zero steady-state replay allocations.
-          stats = simulator.run(state->pipe.raw_trace(), pf.get(),
-                                sim::thread_local_sim_workspace());
-        }
+        sim::Simulator simulator(spec_.pipeline.sim);
+        // Every cell replays through its worker thread's reusable
+        // workspace: after the pool warms up, a sweep of any size
+        // performs zero steady-state replay allocations.
+        const sim::SimStats stats =
+            simulator.run(state->pipe.raw_trace(), pf.get(), sim::thread_local_sim_workspace());
         ExperimentCell out;
         out.spec = spec_text;
         out.prefetcher = pf->name();
@@ -537,7 +550,7 @@ ExperimentResult ExperimentRunner::run() {
       };
       cell_tasks.push_back([simulate, state, cell, key, spec_text, sweep, &zombies, &zombies_mu,
                             &store] {
-        const std::uint32_t max_attempts = sweep.cell_retries + 1;
+        const auto max_attempts = static_cast<std::uint32_t>(sweep.cell_retries) + 1;
         std::string last_error;
         std::uint32_t attempts = 0;
         bool ok = false;
@@ -568,9 +581,10 @@ ExperimentResult ExperimentRunner::run() {
           }
           if (attempt < max_attempts && sweep.backoff_ms > 0) {
             // Doubling backoff: transient failures (exhausted file handles,
-            // memory pressure) get breathing room before the retry.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(sweep.backoff_ms << (attempt - 1)));
+            // memory pressure) get breathing room before the retry. The
+            // bounds keep the shift below 2^37 ms; each sleep is capped.
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                std::min(sweep.backoff_ms << (attempt - 1), common::kMaxTimerSeconds * 1000)));
           }
         }
         if (ok) {

@@ -34,30 +34,32 @@ enum class CellStatus : std::uint8_t {
 /// Stable lowercase name for reports and logs ("done"/"failed"/"skipped").
 const char* cell_status_name(CellStatus status);
 
-/// Crash-safety and scale-out knobs for a sweep (DESIGN.md §13). All
-/// default to the legacy in-memory behavior: no store, no timeout, two
-/// retries, unsharded replay.
+/// Most retries a sweep cell may be given: doubling from the 10 ms default
+/// backoff already sleeps ~5.5 min before retry 16.
+inline constexpr std::uint64_t kMaxCellRetries = 16;
+
+/// Crash-safety knobs for a sweep (DESIGN.md §13). All default to the
+/// legacy in-memory behavior: no store, no timeout, two retries. Every cell
+/// replays once, through sim::Simulator::run.
 struct SweepOptions {
   /// Result-store directory; empty disables persistence and resume.
   std::string store_dir;
-  /// Wall-clock budget per cell attempt in milliseconds; 0 = unlimited.
-  /// A timed-out attempt is abandoned (its thread is reaped before run()
-  /// returns) and counts as a failure toward the retry budget.
+  /// Wall-clock budget per cell attempt in milliseconds; 0 = unlimited, at
+  /// most common::kMaxTimerSeconds. A timed-out attempt is abandoned (its
+  /// thread is reaped before run() returns) and counts as a failure toward
+  /// the retry budget.
   std::uint64_t cell_timeout_ms = 0;
-  /// Retries after the first failed attempt (total attempts = retries + 1).
-  std::uint32_t cell_retries = 2;
-  /// Backoff before retry r is `backoff_ms << (r-1)` (doubling); 0 disables.
+  /// Retries after the first failed attempt (total attempts = retries + 1),
+  /// at most kMaxCellRetries.
+  std::uint64_t cell_retries = 2;
+  /// Backoff before retry r is `backoff_ms << (r-1)` (doubling), each sleep
+  /// capped at common::kMaxTimerSeconds; 0 disables. The base is at most
+  /// common::kMaxTimerSeconds.
   std::uint64_t backoff_ms = 10;
-  /// Contiguous trace shards per cell replay (sim/shard_replay.hpp); 1 =
-  /// classic unsharded replay. Cells whose prefetcher shares a mutable
-  /// model (the NN adapters) always replay unsharded.
-  std::size_t trace_shards = 1;
-  /// Warmup accesses per shard; SIZE_MAX = full-prefix (bit-exact merge).
-  std::size_t shard_warmup = static_cast<std::size_t>(-1);
 
   /// Env-driven defaults: DART_SWEEP_DIR, DART_SWEEP_TIMEOUT_MS,
-  /// DART_SWEEP_RETRIES, DART_SWEEP_BACKOFF_MS, DART_SWEEP_SHARDS,
-  /// DART_SWEEP_WARMUP (-1 = full prefix).
+  /// DART_SWEEP_RETRIES, DART_SWEEP_BACKOFF_MS. Throws
+  /// std::invalid_argument naming the variable when a value is negative.
   static SweepOptions from_env();
 };
 
@@ -86,8 +88,8 @@ struct ExperimentSpec {
   std::size_t nn_trigger_sample = 4;
   /// Schedule cells on the shared thread pool (false = run in spec order).
   bool parallel = true;
-  /// Crash-safety / resume / sharding knobs; defaults keep the legacy
-  /// in-memory single-shot behavior.
+  /// Crash-safety / resume knobs; defaults keep the legacy in-memory
+  /// single-shot behavior.
   SweepOptions sweep;
 
   /// Env-driven defaults: `workloads` holds the DART_APPS names first, then
@@ -176,7 +178,10 @@ class ExperimentRunner {
   explicit ExperimentRunner(ExperimentSpec spec);
 
   /// Runs the grid. Spec strings are validated up front (unknown prefetcher
-  /// names throw before any training starts). A cell failure is retried per
+  /// names throw before any training starts), and so are the `spec.sweep`
+  /// bounds: a timeout or backoff base above common::kMaxTimerSeconds, or
+  /// more than kMaxCellRetries retries, throws std::invalid_argument naming
+  /// the field before the store is opened. A cell failure is retried per
   /// `spec.sweep` and then quarantined as CellStatus::kFailed — run() still
   /// returns the full grid, with `completed + failed + skipped` equal to
   /// its size. Only infrastructure errors escape: store I/O failure, and

@@ -90,16 +90,18 @@ CellRecord parse_record(const std::uint8_t* data, std::size_t n) {
   return rec;
 }
 
-std::uint64_t read_u64_le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint32_t read_u32_le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
+/// Appends `rec` to `out` as one frame: magic, payload length, FNV-1a of
+/// the payload, then the payload. Both log writers (append and compact)
+/// frame through here.
+void append_frame(const CellRecord& rec, std::vector<std::uint8_t>* out) {
+  io::ByteWriter payload;
+  serialize_record(rec, &payload);
+  io::ByteWriter header;
+  header.u32(kRecordMagic);
+  header.u32(static_cast<std::uint32_t>(payload.size()));
+  header.u64(io::fnv1a64(payload.bytes().data(), payload.size()));
+  out->insert(out->end(), header.bytes().begin(), header.bytes().end());
+  out->insert(out->end(), payload.bytes().begin(), payload.bytes().end());
 }
 
 }  // namespace
@@ -154,10 +156,11 @@ void ResultStore::replay_and_recover() {
   // Everything after it is a torn tail: dropped, never trusted.
   std::size_t off = 0;
   while (off + kFrameHeader <= bytes.size()) {
-    if (read_u32_le(bytes.data() + off) != kRecordMagic) break;
-    const std::uint32_t len = read_u32_le(bytes.data() + off + 4);
+    io::ByteReader header(bytes.data() + off, kFrameHeader);
+    if (header.u32() != kRecordMagic) break;
+    const std::uint32_t len = header.u32();
+    const std::uint64_t checksum = header.u64();
     if (off + kFrameHeader + len > bytes.size()) break;
-    const std::uint64_t checksum = read_u64_le(bytes.data() + off + 8);
     const std::uint8_t* payload = bytes.data() + off + kFrameHeader;
     if (io::fnv1a64(payload, len) != checksum) break;
     CellRecord rec;
@@ -215,14 +218,8 @@ std::vector<CellRecord> ResultStore::records() const {
 }
 
 void ResultStore::append(const CellRecord& rec) {
-  io::ByteWriter payload;
-  serialize_record(rec, &payload);
-  io::ByteWriter frame;
-  frame.u32(kRecordMagic);
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u64(io::fnv1a64(payload.bytes().data(), payload.size()));
-  std::vector<std::uint8_t> buf = frame.bytes();
-  buf.insert(buf.end(), payload.bytes().begin(), payload.bytes().end());
+  std::vector<std::uint8_t> buf;
+  append_frame(rec, &buf);
 
   std::unique_lock lock(mu_);
   if (crashed_) {
@@ -273,21 +270,14 @@ void ResultStore::append(const CellRecord& rec) {
 
 void ResultStore::compact() {
   std::lock_guard lock(mu_);
-  io::ByteWriter image;
-  for (const CellRecord& rec : records_) {
-    io::ByteWriter payload;
-    serialize_record(rec, &payload);
-    image.u32(kRecordMagic);
-    image.u32(static_cast<std::uint32_t>(payload.size()));
-    image.u64(io::fnv1a64(payload.bytes().data(), payload.size()));
-    for (std::uint8_t b : payload.bytes()) image.u8(b);
-  }
+  std::vector<std::uint8_t> image;
+  for (const CellRecord& rec : records_) append_frame(rec, &image);
 #if defined(__unix__) || defined(__APPLE__)
   // Close the append fd across the rename: the old inode is dead after it.
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
 #endif
-  io::write_file_atomic(path_, image.bytes().data(), image.size());
+  io::write_file_atomic(path_, image.data(), image.size());
   open_append_fd();
 }
 

@@ -28,7 +28,7 @@ inline constexpr std::size_t kMaxPlannedRequests = std::size_t{1} << 24;
 inline constexpr std::size_t kMaxTraceAccesses = std::size_t{1} << 24;
 /// Longest arrival schedule run_client_load accepts, in seconds: planned
 /// requests / `rate_per_s`.
-inline constexpr double kMaxScheduleSeconds = static_cast<double>(kMaxTimerSeconds);
+inline constexpr double kMaxScheduleSeconds = static_cast<double>(common::kMaxTimerSeconds);
 
 /// Client-load shape. Request k of `streams * requests_per_stream` goes to
 /// stream k mod `streams`; stream i replays workload

@@ -40,8 +40,8 @@ void check_bounds(const ServeConfig& c) {
   bound("completion_capacity", c.completion_capacity, kMaxRingCapacity);
   bound("batch_cap", c.batch_cap, kMaxRingCapacity);
   // Past these the deadline stamp and the watchdog's sleep would wrap.
-  bound("deadline_us", c.deadline_us, kMaxTimerSeconds * 1000 * 1000);
-  bound("watchdog_ms", c.watchdog_ms, kMaxTimerSeconds * 1000);
+  bound("deadline_us", c.deadline_us, common::kMaxTimerSeconds * 1000 * 1000);
+  bound("watchdog_ms", c.watchdog_ms, common::kMaxTimerSeconds * 1000);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/timer.hpp"
 #include "serve/id_generator.hpp"
 #include "serve/shard.hpp"
 #include "tabular/quant.hpp"
@@ -26,9 +27,6 @@ namespace dart::serve {
 
 /// Largest `ServeConfig::shards` a PrefetchServer accepts.
 inline constexpr std::size_t kMaxShards = 1024;
-/// Longest serve timer a PrefetchServer accepts, in seconds: one hour, the
-/// horizon run_client_load also caps its arrival schedule at.
-inline constexpr std::uint64_t kMaxTimerSeconds = 3600;
 
 /// Server-wide tuning knobs. `from_env()` reads the `DART_SERVE_*`
 /// environment variables documented in the README knob table. The values
@@ -43,8 +41,8 @@ struct ServeConfig {
   bool pin_threads = false;           ///< pin shard i to core i
   std::uint64_t id_seed = 0x5eed;     ///< trace-ID generator seed
   /// Per-request deadline stamped at submit, microseconds; 0 = none, at
-  /// most kMaxTimerSeconds. A request still queued past its deadline is
-  /// completed as kShed instead of served (DESIGN.md §11).
+  /// most common::kMaxTimerSeconds. A request still queued past its
+  /// deadline is completed as kShed instead of served (DESIGN.md §11).
   std::uint64_t deadline_us = 0;
   /// Queue-depth admission watermarks; 0 disables overload control. Above
   /// `watermark_hi` a shard refuses new submits and, sustained, degrades to
@@ -52,9 +50,9 @@ struct ServeConfig {
   std::size_t watermark_hi = 0;
   std::size_t watermark_lo = 0;
   /// Watchdog sweep interval in milliseconds; 0 disables the watchdog, at
-  /// most kMaxTimerSeconds. A shard whose heartbeat is unchanged for
-  /// `watchdog_miss_budget` consecutive sweeps is declared stalled and its
-  /// thread restarted.
+  /// most common::kMaxTimerSeconds. A shard whose heartbeat is unchanged
+  /// for `watchdog_miss_budget` consecutive sweeps is declared stalled and
+  /// its thread restarted.
   std::size_t watchdog_ms = 1000;
   std::size_t watchdog_miss_budget = 8;
   /// swap_artifact quarantine policy: a load rejected as io::ArtifactError

@@ -245,7 +245,7 @@ TEST(ExperimentResult, CsvAndJsonExport) {
   core::ExperimentSpec spec;
   spec.pipeline = smoke_options();
   spec.workloads = {"462.libquantum"};
-  spec.prefetchers = {"NextLine", "stride:table=64,degree=4"};
+  spec.prefetchers = {"NextLine", "stride:table=64,degree=4", "NextLine:label=a\tb\"c"};
   spec.parallel = false;
   const core::ExperimentResult result = core::ExperimentRunner(spec).run();
 
@@ -256,12 +256,18 @@ TEST(ExperimentResult, CsvAndJsonExport) {
   // The comma-bearing spec string is quoted.
   EXPECT_NE(text.find("\n\"stride:table=64,degree=4\",Stride,462.libquantum,"),
             std::string::npos);
+  // A quote-bearing field is quoted with its quote doubled.
+  EXPECT_NE(text.find("\n\"NextLine:label=a\tb\"\"c\",\"a\tb\"\"c\",462.libquantum,"),
+            std::string::npos);
 
   const std::string json = "registry_test_cells.json";
   ASSERT_TRUE(result.write_json(json));
   const std::string content = slurp(json);
   EXPECT_NE(content.find("\"prefetcher\": \"Stride\""), std::string::npos);
   EXPECT_NE(content.find("\"baseline_ipc\""), std::string::npos);
+  // Control characters are escaped: JSON forbids a raw tab in a string.
+  EXPECT_NE(content.find("\"prefetcher\": \"a\\u0009b\\\"c\""), std::string::npos);
+  EXPECT_EQ(content.find('\t'), std::string::npos);
   std::remove(csv.c_str());
   std::remove(json.c_str());
 }

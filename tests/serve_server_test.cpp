@@ -343,12 +343,13 @@ TEST(PrefetchServer, RejectsUnboundedSizesBeforeStartingThreads) {
   config.shards = huge;
   EXPECT_THROW(std::make_unique<PrefetchServer>(model, config), std::invalid_argument);
   // The timers: past these the deadline stamp and the watchdog's sleep wrap.
-  for (const std::uint64_t value : {kMaxTimerSeconds * 1000 * 1000 + 1, std::uint64_t{huge}}) {
+  for (const std::uint64_t value :
+       {common::kMaxTimerSeconds * 1000 * 1000 + 1, std::uint64_t{huge}}) {
     config = tiny_config(1);
     config.deadline_us = value;
     EXPECT_THROW(std::make_unique<PrefetchServer>(model, config), std::invalid_argument);
   }
-  for (const std::size_t value : {kMaxTimerSeconds * 1000 + 1, huge}) {
+  for (const std::size_t value : {common::kMaxTimerSeconds * 1000 + 1, huge}) {
     config = tiny_config(1);
     config.watchdog_ms = value;
     EXPECT_THROW(std::make_unique<PrefetchServer>(model, config), std::invalid_argument);

@@ -1,10 +1,9 @@
 // Chaos tests for the crash-safe resumable sweep engine (DESIGN.md §13):
 // the durable result store (torn-tail recovery, injected tail corruption,
 // crash latching, compaction), the retry/quarantine harness (fail-cell,
-// slow-cell + wall-clock timeout), crash-and-resume determinism (the
-// resumed merged CSV is byte-identical to an uninterrupted run and reuses
-// committed cells), and the sharded-replay merge contract (bit-exact under
-// full-prefix warmup, bounded under partial warmup).
+// slow-cell + wall-clock timeout) and the bounds on its timer, retry and
+// backoff values, and crash-and-resume determinism (the resumed merged CSV
+// is byte-identical to an uninterrupted run and reuses committed cells).
 //
 // The invariant under test throughout: every grid cell resolves to exactly
 // one of {done, failed, skipped} and the three counts sum to the grid size
@@ -16,17 +15,17 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/timer.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
-#include "sim/registry.hpp"
-#include "sim/shard_replay.hpp"
-#include "sim/simulator.hpp"
-#include "trace/workloads.hpp"
 
 namespace dart::core {
 namespace {
@@ -197,6 +196,16 @@ TEST_F(SweepChaosTest, StoreCompactionDropsSupersededRecords) {
   CellRecord rec;
   ASSERT_TRUE(reopened.find(1, &rec));
   EXPECT_EQ(rec.cell.stats.pf_issued, 7u);  // pre-compaction last record
+
+  // Appends and compaction frame records identically: a log whose keys are
+  // all unique compacts to the very same bytes.
+  auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  const std::string unique_log = slurp(reopened.log_path());
+  reopened.compact();
+  EXPECT_EQ(slurp(reopened.log_path()), unique_log);
 }
 
 // -------------------------------------------------------- retry/quarantine
@@ -264,6 +273,58 @@ TEST_F(SweepChaosTest, SlowCellTimeoutQuarantines) {
   EXPECT_EQ(cell->status, CellStatus::kFailed);
   EXPECT_NE(cell->error.find("timed out"), std::string::npos);
   EXPECT_GE(common::fault_injector().counters().cells_delayed, 1u);
+}
+
+TEST_F(SweepChaosTest, OutOfBoundSweepValuesAreRefusedByName) {
+  // Past these bounds a timed attempt's wait wraps negative (every attempt
+  // "times out" at once) and `cell_retries + 1` wraps to zero attempts.
+  const std::uint64_t max_ms = common::kMaxTimerSeconds * 1000;
+  const std::uint64_t huge = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<std::pair<const char*, std::uint64_t SweepOptions::*>> fields = {
+      {"cell_timeout_ms", &SweepOptions::cell_timeout_ms},
+      {"cell_retries", &SweepOptions::cell_retries},
+      {"backoff_ms", &SweepOptions::backoff_ms}};
+  for (const auto& [name, field] : fields) {
+    const std::uint64_t bound = field == &SweepOptions::cell_retries ? kMaxCellRetries : max_ms;
+    for (const std::uint64_t value : {bound + 1, huge}) {
+      ExperimentSpec spec = tiny_grid();
+      spec.sweep.*field = value;
+      spec.sweep.store_dir = scratch_dir("bounds");
+      try {
+        ExperimentRunner(spec).run();
+        ADD_FAILURE() << name << " " << value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      }
+      EXPECT_FALSE(std::filesystem::exists(spec.sweep.store_dir)) << name;
+    }
+  }
+  // The bounds themselves are accepted.
+  ExperimentSpec spec = tiny_grid();
+  spec.sweep.cell_timeout_ms = max_ms;
+  spec.sweep.backoff_ms = max_ms;
+  spec.sweep.cell_retries = kMaxCellRetries;
+  EXPECT_EQ(ExperimentRunner(spec).run().count(CellStatus::kDone), 4u);
+
+  // A negative environment value is refused, not read as 0 (which means
+  // "unlimited" for the timeout).
+  for (const char* name :
+       {"DART_SWEEP_TIMEOUT_MS", "DART_SWEEP_RETRIES", "DART_SWEEP_BACKOFF_MS"}) {
+    const char* saved = std::getenv(name);
+    const std::string saved_value = saved != nullptr ? saved : "";
+    ::setenv(name, "-1", 1);
+    try {
+      SweepOptions::from_env();
+      ADD_FAILURE() << name << "=-1 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    if (saved != nullptr) {
+      ::setenv(name, saved_value.c_str(), 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
 }
 
 // ------------------------------------------------------- crash-and-resume
@@ -348,91 +409,6 @@ TEST_F(SweepChaosTest, QuantModeJoinsTheCellKey) {
   EXPECT_EQ(dart->status, CellStatus::kDone);  // re-simulated, not reused
   EXPECT_EQ(off.count(CellStatus::kSkipped), 0u);
   EXPECT_EQ(off_again.count(CellStatus::kSkipped), 2u);  // same mode: reused
-}
-
-// ------------------------------------------------------------ sharded replay
-
-TEST_F(SweepChaosTest, ShardedReplayFullWarmupBitExact) {
-  const trace::Workload workload = trace::Workload::parse("trace:zipfian,footprint=4M");
-  const trace::MemoryTrace trace = workload.generate(20000, 42);
-  const sim::SimConfig config = PipelineOptions::bench_defaults().sim;
-
-  sim::PrefetcherContext ctx;
-  const auto bo_factory = [&ctx] { return sim::make_prefetcher("BO", ctx); };
-  const sim::SimStats unsharded = [&] {
-    auto pf = bo_factory();
-    return sim::Simulator(config).run(trace, pf.get());
-  }();
-
-  for (std::size_t shards : {1u, 2u, 4u, 7u}) {
-    sim::ShardReplayOptions options;
-    options.shards = shards;
-    options.warmup = sim::kFullWarmup;
-    const sim::ShardedStats sharded = sim::run_sharded(config, trace, bo_factory, options);
-    EXPECT_EQ(sharded.shards.size(), shards);
-    // The pinned telescoping merge: bit-exact on EVERY field.
-    EXPECT_EQ(sharded.merged.instructions, unsharded.instructions) << shards;
-    EXPECT_EQ(sharded.merged.cycles, unsharded.cycles) << shards;
-    EXPECT_EQ(sharded.merged.llc_accesses, unsharded.llc_accesses) << shards;
-    EXPECT_EQ(sharded.merged.llc_hits, unsharded.llc_hits) << shards;
-    EXPECT_EQ(sharded.merged.llc_demand_misses, unsharded.llc_demand_misses) << shards;
-    EXPECT_EQ(sharded.merged.pf_issued, unsharded.pf_issued) << shards;
-    EXPECT_EQ(sharded.merged.pf_useful, unsharded.pf_useful) << shards;
-    EXPECT_EQ(sharded.merged.pf_late, unsharded.pf_late) << shards;
-    EXPECT_EQ(sharded.merged.pf_dropped, unsharded.pf_dropped) << shards;
-    // Shard windows tile the trace exactly.
-    std::size_t covered = 0;
-    for (const auto& s : sharded.shards) {
-      EXPECT_EQ(s.begin, covered);
-      covered = s.end;
-    }
-    EXPECT_EQ(covered, trace.size());
-  }
-  // Baseline (no prefetcher) shards exactly too.
-  const sim::SimStats base = sim::Simulator(config).run(trace, nullptr);
-  sim::ShardReplayOptions options;
-  options.shards = 4;
-  const sim::ShardedStats sharded = sim::run_sharded(config, trace, nullptr, options);
-  EXPECT_EQ(sharded.merged.cycles, base.cycles);
-  EXPECT_EQ(sharded.merged.llc_accesses, base.llc_accesses);
-}
-
-TEST_F(SweepChaosTest, ShardedReplayPartialWarmupWithinDocumentedBound) {
-  const trace::Workload workload = trace::Workload::parse("trace:zipfian,footprint=4M");
-  const trace::MemoryTrace trace = workload.generate(20000, 42);
-  const sim::SimConfig config = PipelineOptions::bench_defaults().sim;
-
-  sim::PrefetcherContext ctx;
-  const auto bo_factory = [&ctx] { return sim::make_prefetcher("BO", ctx); };
-  const sim::SimStats unsharded = [&] {
-    auto pf = bo_factory();
-    return sim::Simulator(config).run(trace, pf.get());
-  }();
-
-  sim::ShardReplayOptions options;
-  options.shards = 4;
-  options.warmup = 4000;  // partial: the scale-out mode (80% of a shard here)
-  const sim::ShardedStats sharded = sim::run_sharded(config, trace, bo_factory, options);
-
-  // Exact by construction: the global instruction span.
-  EXPECT_EQ(sharded.merged.instructions, unsharded.instructions);
-  // Documented bound (DESIGN.md §13): cache-state-dependent counters carry
-  // warmup error, asserted here at the 25% relative level the contract
-  // promises when warmup approaches the shard size. pf_issued is the
-  // slowest to converge (each shard's prefetcher re-learns from scratch and
-  // over-issues while training), which is why the contract pins the bound
-  // at this warmup, not a smaller one.
-  auto within = [](std::uint64_t got, std::uint64_t want, double tol) {
-    const double g = static_cast<double>(got);
-    const double w = static_cast<double>(want);
-    return w == 0.0 ? g == 0.0 : (g > w ? g - w : w - g) / w <= tol;
-  };
-  EXPECT_TRUE(within(sharded.merged.cycles, unsharded.cycles, 0.25));
-  EXPECT_TRUE(within(sharded.merged.llc_accesses, unsharded.llc_accesses, 0.25));
-  EXPECT_TRUE(within(sharded.merged.pf_issued, unsharded.pf_issued, 0.25));
-  // Derived ratios converge with warmup; assert the same documented bound.
-  EXPECT_NEAR(sharded.merged.accuracy(), unsharded.accuracy(), 0.25);
-  EXPECT_NEAR(sharded.merged.coverage(), unsharded.coverage(), 0.25);
 }
 
 // --------------------------------------------------------------- accounting

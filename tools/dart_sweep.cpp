@@ -2,8 +2,7 @@
 //
 //   dart_sweep [--store DIR] [--workloads LIST] [--prefetchers LIST]
 //              [--csv PATH] [--json PATH] [--timeout-ms N] [--retries N]
-//              [--backoff-ms N] [--shards N] [--warmup N] [--sequential]
-//              [--compact]
+//              [--backoff-ms N] [--sequential] [--compact]
 //
 // Runs the ExperimentRunner grid through the durable result store: every
 // resolving cell is committed (fsync'd) before the sweep moves on, so a
@@ -17,21 +16,30 @@
 //   --workloads LIST   ';'-separated workload specs  (DART_WORKLOADS); replaces
 //                      the whole row list, DART_APPS rows included
 //   --prefetchers LIST ';'-separated prefetcher specs(DART_PREFETCHERS)
-//   --timeout-ms N     per-attempt wall-clock budget (DART_SWEEP_TIMEOUT_MS)
-//   --retries N        retries after first failure   (DART_SWEEP_RETRIES)
-//   --backoff-ms N     doubling retry backoff base   (DART_SWEEP_BACKOFF_MS)
-//   --shards N         trace shards per cell replay  (DART_SWEEP_SHARDS)
-//   --warmup N         shard warmup accesses; -1=full(DART_SWEEP_WARMUP)
+//   --timeout-ms N     per-attempt wall-clock budget (DART_SWEEP_TIMEOUT_MS),
+//                      0 = unlimited, at most 3600000 (one hour)
+//   --retries N        retries after first failure   (DART_SWEEP_RETRIES),
+//                      at most 16
+//   --backoff-ms N     doubling retry backoff base   (DART_SWEEP_BACKOFF_MS),
+//                      at most 3600000; each sleep is capped at one hour
 //   --sequential       run cells in grid order (deterministic commit order,
 //                      the mode the resume CI job uses)
 //   --compact          rewrite the store log to one record per cell at exit
+//
+// N is a whole unsigned decimal token: "abc", "5x" or "-1" prints usage and
+// exits 2. A value past its bound is refused by name before the store is
+// opened. Every cell replays once, through sim::Simulator::run; the sweep
+// fans out across cells on the shared thread pool.
 //
 // DART_FAULT=<spec> arms the deterministic fault injector (common/fault.hpp)
 // before the sweep, e.g. DART_FAULT="crash-after-commit:after=2,hard=1".
 //
 // Exit codes: 0 = every cell completed (or was reused), 3 = the sweep
 // finished but quarantined at least one cell (results partial, loudly), 17
-// (common::kCrashExitCode) = an injected hard crash fired, 1 = crash/error.
+// (common::kCrashExitCode) = an injected hard crash fired, 2 = bad flag,
+// environment knob or DART_FAULT spec, 1 = crash/error.
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -42,7 +50,6 @@
 #include "core/experiment.hpp"
 #include "core/result_store.hpp"
 #include "sim/registry.hpp"
-#include "sim/shard_replay.hpp"
 #include "trace/workloads.hpp"
 
 using namespace dart;
@@ -53,25 +60,51 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--store DIR] [--workloads LIST] [--prefetchers LIST] "
                "[--csv PATH] [--json PATH] [--timeout-ms N] [--retries N] [--backoff-ms N] "
-               "[--shards N] [--warmup N] [--sequential] [--compact]\n",
+               "[--sequential] [--compact]\n",
                argv0);
   return 2;
+}
+
+/// Parses a whole unsigned decimal token; false on an empty, signed,
+/// non-numeric or out-of-range one.
+bool parse_count(const char* text, std::uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;  // "", "-1", "+1", " 1"
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  *out = v;
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::ExperimentSpec spec = core::ExperimentSpec::bench_defaults();
-  spec.sweep = core::SweepOptions::from_env();
+  core::ExperimentSpec spec;
   std::string csv_path;
   std::string json_path;
   bool compact = false;
+
+  try {
+    spec = core::ExperimentSpec::bench_defaults();
+    spec.sweep = core::SweepOptions::from_env();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
+    };
+    // The numeric flags: a missing or malformed N is a usage error.
+    auto count = [&](std::uint64_t* out) {
+      const char* v = value();
+      if (v != nullptr && parse_count(v, out)) return true;
+      std::fprintf(stderr, "invalid value for %s: %s\n", arg.c_str(), v ? v : "(missing)");
+      return false;
     };
     if (arg == "--store") {
       const char* v = value();
@@ -97,27 +130,11 @@ int main(int argc, char** argv) {
       if (!v) return usage(argv[0]);
       json_path = v;
     } else if (arg == "--timeout-ms") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.cell_timeout_ms = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
+      if (!count(&spec.sweep.cell_timeout_ms)) return usage(argv[0]);
     } else if (arg == "--retries") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.cell_retries = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!count(&spec.sweep.cell_retries)) return usage(argv[0]);
     } else if (arg == "--backoff-ms") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.backoff_ms = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--shards") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.trace_shards = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-      if (spec.sweep.trace_shards == 0) spec.sweep.trace_shards = 1;
-    } else if (arg == "--warmup") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      const long long w = std::strtoll(v, nullptr, 10);
-      spec.sweep.shard_warmup = w < 0 ? sim::kFullWarmup : static_cast<std::size_t>(w);
+      if (!count(&spec.sweep.backoff_ms)) return usage(argv[0]);
     } else if (arg == "--sequential") {
       spec.parallel = false;
     } else if (arg == "--compact") {
