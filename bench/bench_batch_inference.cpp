@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     }
   }
-  const std::size_t queries =
-      static_cast<std::size_t>(common::env_int("DART_BENCH_QUERIES", 4096));
+  const std::size_t queries = common::env_uint("DART_BENCH_QUERIES", 4096);
 
   // Shared builder (bench/synthetic_model.hpp): student architecture,
   // K=128/C=2 tables from random activations — table *contents* don't
@@ -110,7 +109,7 @@ int main(int argc, char** argv) {
 
   // Best-of-R timing: the minimum-noise estimator for throughput on a
   // shared machine (any slowdown is interference, never the code).
-  const int reps = static_cast<int>(common::env_int("DART_BENCH_REPS", 3));
+  const int reps = static_cast<int>(common::env_uint("DART_BENCH_REPS", 3));
   auto best_of = [&](auto&& fn) {
     double best = 0.0;
     for (int r = 0; r < reps; ++r) best = std::max(best, fn());

@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/table_printer.hpp"
+#include "common/text.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/experiment.hpp"

@@ -9,7 +9,7 @@
 using namespace dart;
 
 int main() {
-  const auto n = static_cast<std::size_t>(common::env_int("DART_SIM_INSTR", 200000));
+  const std::size_t n = common::env_uint("DART_SIM_INSTR", 200000);
   const std::size_t plot_points = 4000;
   sim::SimConfig cfg;
   common::TablePrinter t("Fig. 7: memory access pattern summary (LLC stream)");

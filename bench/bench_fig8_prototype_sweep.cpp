@@ -9,7 +9,7 @@ int main() {
   const auto apps = bench::bench_apps();
   core::PipelineOptions opts = core::PipelineOptions::bench_defaults();
   std::vector<std::size_t> ks = {16, 64, 256, 1024};
-  if (common::env_int("DART_FULL_SWEEP", 0) != 0) ks = {16, 32, 64, 128, 256, 512, 1024};
+  if (common::env_uint("DART_FULL_SWEEP", 0) != 0) ks = {16, 32, 64, 128, 256, 512, 1024};
 
   std::vector<std::vector<double>> f1(apps.size(), std::vector<double>(ks.size(), 0.0));
   bench::for_each_app_parallel(apps, [&](trace::App app, std::size_t i) {

@@ -10,7 +10,7 @@ int main() {
   // C must divide the per-head dimension (16 for the student), T (8), and
   // the segment counts (8): {1, 2, 4, 8} are the valid sweep points.
   std::vector<std::size_t> cs = {1, 2, 4};
-  if (common::env_int("DART_FULL_SWEEP", 0) != 0) cs = {1, 2, 4, 8};
+  if (common::env_uint("DART_FULL_SWEEP", 0) != 0) cs = {1, 2, 4, 8};
 
   std::vector<std::vector<double>> f1(apps.size(), std::vector<double>(cs.size(), 0.0));
   bench::for_each_app_parallel(apps, [&](trace::App app, std::size_t i) {

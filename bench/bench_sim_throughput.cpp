@@ -70,9 +70,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t n =
-      static_cast<std::size_t>(common::env_int("DART_SIM_INSTR", 400000));
-  const int reps = static_cast<int>(common::env_int("DART_BENCH_REPS", 3));
+  const std::size_t n = common::env_uint("DART_SIM_INSTR", 400000);
+  const int reps = static_cast<int>(common::env_uint("DART_BENCH_REPS", 3));
   const std::vector<trace::App> apps = bench::bench_apps();
   const sim::SimConfig cfg;  // Table III parameters (the table9 sweep config)
 

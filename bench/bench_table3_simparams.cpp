@@ -31,7 +31,7 @@ int main() {
   // Baseline IPC sanity sweep (no prefetcher).
   common::TablePrinter runs("Baseline simulation sanity (no prefetcher)");
   runs.set_header({"App", "Instructions", "Cycles", "IPC", "LLC accesses", "LLC misses"});
-  const auto n = static_cast<std::size_t>(common::env_int("DART_SIM_INSTR", 200000));
+  const std::size_t n = common::env_uint("DART_SIM_INSTR", 200000);
   sim::Simulator simulator(cfg);
   for (trace::App app : bench::bench_apps()) {
     const auto trace = trace::generate(app, n, 1);

@@ -29,7 +29,7 @@ PaperRow paper_row(trace::App app) {
 }  // namespace
 
 int main() {
-  const auto n = static_cast<std::size_t>(common::env_int("DART_SIM_INSTR", 400000));
+  const std::size_t n = common::env_uint("DART_SIM_INSTR", 400000);
   sim::SimConfig cfg;
   common::TablePrinter t("Table IV: benchmark memory trace statistics (LLC stream)");
   t.set_header({"Application", "#Access", "#Block", "#Page", "#Delta", "paper #Page",

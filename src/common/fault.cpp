@@ -1,9 +1,11 @@
 #include "common/fault.hpp"
 
+#include <limits>
 #include <list>
-#include <stdexcept>
 
 #include "common/rng.hpp"
+#include "common/text.hpp"
+#include "common/timer.hpp"
 
 namespace dart::common {
 
@@ -15,31 +17,18 @@ std::string trim(const std::string& s) {
   return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
 }
 
-[[noreturn]] void bad_spec(const std::string& what) {
-  throw std::invalid_argument("DART_FAULT: " + what);
-}
+[[noreturn]] void bad_spec(const std::string& what) { throw InputError("DART_FAULT: " + what); }
 
-std::uint64_t parse_u64(const FaultSpec& spec, const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    bad_spec(spec.kind + ": parameter '" + key + "' is not an unsigned integer: '" + value + "'");
-  }
+/// How a parameter's value error names it, e.g. "DART_FAULT: slow-cell: parameter 'ms'".
+std::string param_name(const FaultSpec& spec, const std::string& key) {
+  return "DART_FAULT: " + spec.kind + ": parameter '" + key + "'";
 }
 
 double parse_probability(const FaultSpec& spec, const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double p = std::stod(value, &used);
-    if (used != value.size() || p < 0.0 || p > 1.0) throw std::invalid_argument(value);
-    return p;
-  } catch (const std::exception&) {
-    bad_spec(spec.kind + ": parameter '" + key + "' is not a probability in [0, 1]: '" + value +
-             "'");
-  }
+  const std::string name = param_name(spec, key);
+  const double p = parse_double(name, value);
+  if (p > 1.0) throw InputError(name + ": " + value + " is not a probability in [0, 1]");
+  return p;
 }
 
 /// Looks up `key`; returns whether present, value in `out`.
@@ -61,15 +50,16 @@ void require_known_params(const FaultSpec& spec, std::initializer_list<const cha
   }
 }
 
-std::uint64_t required_u64(const FaultSpec& spec, const std::string& key) {
+std::uint64_t required_u64(const FaultSpec& spec, const std::string& key,
+                           std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   std::string v;
   if (!find_param(spec, key, v)) bad_spec(spec.kind + ": missing required parameter '" + key + "'");
-  return parse_u64(spec, key, v);
+  return parse_uint(param_name(spec, key), v, max);
 }
 
 std::uint64_t optional_u64(const FaultSpec& spec, const std::string& key, std::uint64_t fallback) {
   std::string v;
-  return find_param(spec, key, v) ? parse_u64(spec, key, v) : fallback;
+  return find_param(spec, key, v) ? parse_uint(param_name(spec, key), v) : fallback;
 }
 
 std::string required_str(const FaultSpec& spec, const std::string& key) {
@@ -199,7 +189,8 @@ void FaultInjector::install(const std::string& spec) {
       require_known_params(s, {"shard", "us", "batches"});
       auto& c = plan->slow.emplace_back();
       c.shard = static_cast<std::size_t>(required_u64(s, "shard"));
-      c.us = required_u64(s, "us");
+      // Past these bounds the injected sleep's duration wraps.
+      c.us = required_u64(s, "us", kMaxTimerSeconds * 1000 * 1000);
       c.batches = optional_u64(s, "batches", 0);
     } else if (s.kind == "stall-shard") {
       require_known_params(s, {"shard", "after"});
@@ -222,7 +213,7 @@ void FaultInjector::install(const std::string& spec) {
       c.seed = optional_u64(s, "seed", 42);
       std::string sh;
       if (find_param(s, "shard", sh)) {
-        c.shard = static_cast<std::int64_t>(parse_u64(s, "shard", sh));
+        c.shard = static_cast<std::int64_t>(parse_uint(param_name(s, "shard"), sh));
       }
     } else if (s.kind == "corrupt-artifact") {
       require_known_params(s, {"offset", "count"});
@@ -245,7 +236,7 @@ void FaultInjector::install(const std::string& spec) {
       require_known_params(s, {"match", "ms", "times"});
       auto& c = plan->slow_cell.emplace_back();
       c.match = required_str(s, "match");
-      c.ms = required_u64(s, "ms");
+      c.ms = required_u64(s, "ms", kMaxTimerSeconds * 1000);
       c.times = optional_u64(s, "times", 0);
     } else if (s.kind == "corrupt-store-tail") {
       require_known_params(s, {"bytes", "count"});

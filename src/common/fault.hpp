@@ -77,10 +77,9 @@ struct FaultSpec {
   std::vector<std::pair<std::string, std::string>> params;   ///< in spec order
 };
 
-/// Parses a `DART_FAULT` spec string into clauses; throws
-/// std::invalid_argument on grammar errors, unknown kinds, unknown or
-/// missing parameters, or out-of-range values. An empty string parses to
-/// an empty plan.
+/// Parses a `DART_FAULT` spec string into clauses; throws InputError
+/// (common/text.hpp) on grammar errors. An empty string parses to an empty
+/// plan.
 std::vector<FaultSpec> parse_fault_specs(const std::string& text);
 
 /// What `FaultInjector::on_batch` tells the shard loop to do before
@@ -128,8 +127,10 @@ struct FaultCounters {
 class FaultInjector {
  public:
   /// Parses and arms `spec`; an empty string disarms. Resets the fired
-  /// counters. Throws std::invalid_argument on grammar errors (leaving the
-  /// previous plan armed).
+  /// counters. Throws InputError (common/text.hpp) on grammar errors,
+  /// unknown kinds, unknown or missing parameters, or out-of-range values,
+  /// leaving the previous plan armed. `slow-cell:ms` and `slow-shard:us`
+  /// are bounded by kMaxTimerSeconds.
   void install(const std::string& spec);
 
   /// Disarms all faults (hooks return to their single-load fast path).

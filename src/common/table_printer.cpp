@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/text.hpp"
+
 namespace dart::common {
 
 void TablePrinter::set_header(std::vector<std::string> header) { header_ = std::move(header); }
@@ -44,12 +46,7 @@ bool TablePrinter::write_csv(const std::string& path) const {
   auto write_row = [&](const std::vector<std::string>& row) {
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (i) out << ',';
-      // Quote cells containing commas.
-      if (row[i].find(',') != std::string::npos) {
-        out << '"' << row[i] << '"';
-      } else {
-        out << row[i];
-      }
+      out << csv_quote(row[i]);
     }
     out << '\n';
   };

@@ -19,7 +19,8 @@ class TablePrinter {
   /// Renders the aligned table to stdout.
   void print() const;
 
-  /// Writes the same content to `path` as CSV. Returns false on I/O error.
+  /// Writes the same content to `path` as CSV, each cell escaped by
+  /// csv_quote (common/text.hpp). Returns false on I/O error.
   bool write_csv(const std::string& path) const;
 
   std::size_t num_rows() const { return rows_.size(); }

@@ -8,7 +8,7 @@
 #include <sched.h>
 #endif
 
-#include "common/env.hpp"
+#include "common/text.hpp"
 
 namespace dart::common {
 namespace {
@@ -84,9 +84,8 @@ void ThreadPool::worker_loop() {
 }
 
 ThreadPool& ThreadPool::instance() {
-  // DART_THREADS overrides the worker count (<= 0 = hardware_concurrency).
-  static ThreadPool pool(
-      static_cast<std::size_t>(std::max<std::int64_t>(0, env_int("DART_THREADS", 0))));
+  // DART_THREADS overrides the worker count (0 = hardware_concurrency).
+  static ThreadPool pool(env_uint("DART_THREADS", 0));
   return pool;
 }
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "core/configs.hpp"
 #include "io/artifact.hpp"
 #include "tabular/complexity.hpp"
@@ -27,8 +28,8 @@ DartVariant resolve_variant(const sim::DartModelRequest& request) {
   } else if (variant == "default") {
     v = dart_variant();
   } else {
-    throw std::invalid_argument("unknown DART variant '" + request.variant +
-                                "' (expected s, default or l)");
+    throw common::InputError("unknown DART variant '" + request.variant +
+                             "' (expected s, default or l)");
   }
   if (request.table_k != 0 || request.table_c != 0) {
     v.tables = tabular::TableConfig::uniform(

@@ -1,6 +1,6 @@
 #include "core/configs.hpp"
 
-#include "common/env.hpp"
+#include "common/text.hpp"
 
 namespace dart::core {
 
@@ -50,7 +50,7 @@ nn::ModelConfig paper_student_config() {
 }
 
 nn::ModelConfig bench_teacher_config() {
-  if (common::env_int("DART_PAPER_SCALE", 0) != 0) return paper_teacher_config();
+  if (common::env_uint("DART_PAPER_SCALE", 0) != 0) return paper_teacher_config();
   nn::ModelConfig m = base_arch();
   m.layers = 2;
   m.dim = 64;

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <map>
@@ -15,9 +14,9 @@
 #include <stdexcept>
 #include <thread>
 
-#include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/artifact_cache.hpp"
@@ -192,47 +191,10 @@ bool run_attempt(const std::function<ExperimentCell()>& body, std::uint64_t time
 /// these a timed attempt's wait wraps negative (every attempt "times out"
 /// at once) and `cell_retries + 1` wraps to zero attempts.
 void check_bounds(const SweepOptions& sweep) {
-  auto bound = [](const char* name, std::uint64_t value, std::uint64_t max) {
-    if (value > max) {
-      throw std::invalid_argument(std::string("ExperimentRunner: ") + name + " " +
-                                  std::to_string(value) + " exceeds " + std::to_string(max));
-    }
-  };
-  bound("cell_timeout_ms", sweep.cell_timeout_ms, common::kMaxTimerSeconds * 1000);
-  bound("cell_retries", sweep.cell_retries, kMaxCellRetries);
-  bound("backoff_ms", sweep.backoff_ms, common::kMaxTimerSeconds * 1000);
-}
-
-// RFC 4180 CSV fields: a field holding a comma (spec strings do), a quote
-// or a line break is quoted, with embedded quotes doubled; any other field
-// is written as is.
-std::string csv_quote(const std::string& field) {
-  if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  return out + "\"";
-}
-
-// JSON string body: quotes and backslashes are escaped, and so is every
-// control character below 0x20, which JSON forbids raw inside a string.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[7];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
+  const std::uint64_t max_ms = common::kMaxTimerSeconds * 1000;
+  common::check_at_most("ExperimentRunner: cell_timeout_ms", sweep.cell_timeout_ms, max_ms);
+  common::check_at_most("ExperimentRunner: cell_retries", sweep.cell_retries, kMaxCellRetries);
+  common::check_at_most("ExperimentRunner: backoff_ms", sweep.backoff_ms, max_ms);
 }
 
 }  // namespace
@@ -252,20 +214,11 @@ const char* cell_status_name(CellStatus status) {
 }
 
 SweepOptions SweepOptions::from_env() {
-  // A negative value is refused, not clamped: -1 would otherwise read as 0,
-  // which means "unlimited" for the timeout.
-  auto non_negative = [](const char* name, std::int64_t fallback) {
-    const std::int64_t v = common::env_int(name, fallback);
-    if (v < 0) {
-      throw std::invalid_argument(std::string(name) + " must be >= 0, got " + std::to_string(v));
-    }
-    return static_cast<std::uint64_t>(v);
-  };
   SweepOptions o;
   o.store_dir = common::env_string("DART_SWEEP_DIR", "");
-  o.cell_timeout_ms = non_negative("DART_SWEEP_TIMEOUT_MS", 0);
-  o.cell_retries = non_negative("DART_SWEEP_RETRIES", 2);
-  o.backoff_ms = non_negative("DART_SWEEP_BACKOFF_MS", 10);
+  o.cell_timeout_ms = common::env_uint("DART_SWEEP_TIMEOUT_MS", 0);
+  o.cell_retries = common::env_uint("DART_SWEEP_RETRIES", 2);
+  o.backoff_ms = common::env_uint("DART_SWEEP_BACKOFF_MS", 10);
   return o;
 }
 
@@ -372,7 +325,8 @@ bool ExperimentResult::write_csv(const std::string& path) const {
          "storage_bytes,latency_cycles\n";
   out << std::setprecision(12);
   for (const auto& c : cells) {
-    out << csv_quote(c.spec) << ',' << csv_quote(c.prefetcher) << ',' << csv_quote(c.app) << ','
+    out << common::csv_quote(c.spec) << ',' << common::csv_quote(c.prefetcher) << ','
+        << common::csv_quote(c.app) << ','
         << c.baseline_ipc << ',' << c.ipc_improvement << ',' << c.stats.pf_issued << ','
         << c.stats.pf_useful << ',' << c.stats.pf_late << ',' << c.stats.pf_dropped << ','
         << c.stats.llc_accesses << ',' << c.stats.llc_hits << ','
@@ -388,8 +342,8 @@ bool ExperimentResult::write_json(const std::string& path) const {
   out << std::setprecision(12) << "[\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ExperimentCell& c = cells[i];
-    out << "  {\"spec\": \"" << json_escape(c.spec) << "\", \"prefetcher\": \""
-        << json_escape(c.prefetcher) << "\", \"app\": \"" << json_escape(c.app)
+    out << "  {\"spec\": \"" << common::json_escape(c.spec) << "\", \"prefetcher\": \""
+        << common::json_escape(c.prefetcher) << "\", \"app\": \"" << common::json_escape(c.app)
         << "\", \"baseline_ipc\": " << c.baseline_ipc
         << ", \"ipc_improvement\": " << c.ipc_improvement
         << ", \"accuracy\": " << c.stats.accuracy()

@@ -4,8 +4,8 @@
 #include <filesystem>
 #include <sstream>
 
-#include "common/env.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "core/configs.hpp"
 #include "io/artifact.hpp"
 #include "nn/serialize.hpp"
@@ -112,7 +112,7 @@ PipelineOptions PipelineOptions::bench_defaults() {
   o.prep = default_preprocess();
   o.teacher_arch = bench_teacher_config();
   o.student_arch = paper_student_config();
-  o.teacher_train.epochs = static_cast<std::size_t>(common::env_int("DART_EPOCHS", 6));
+  o.teacher_train.epochs = common::env_uint("DART_EPOCHS", 6);
   o.teacher_train.batch_size = 64;
   o.teacher_train.lr = 1e-3f;
   o.student_train = o.teacher_train;
@@ -120,8 +120,8 @@ PipelineOptions PipelineOptions::bench_defaults() {
   o.kd.lambda = 0.5f;
   o.tab.tables = dart_table_config();
   o.tab.max_train_samples = 2048;
-  o.raw_accesses = static_cast<std::size_t>(common::env_int("DART_SIM_INSTR", 400000));
-  o.prep.max_samples = static_cast<std::size_t>(common::env_int("DART_TRAIN_SAMPLES", 6000));
+  o.raw_accesses = common::env_uint("DART_SIM_INSTR", 400000);
+  o.prep.max_samples = common::env_uint("DART_TRAIN_SAMPLES", 6000);
   o.artifact_dir = common::env_string("DART_ARTIFACT_DIR", "");
   return o;
 }

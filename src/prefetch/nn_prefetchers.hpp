@@ -11,12 +11,13 @@
 // bitmap bits with probability >= threshold into block addresses
 // (current block + delta), strongest bits first.
 //
-// Latency-bound triggering: a predictor with prediction latency L cannot
-// start a new inference while one is outstanding (it is not pipelined), so
-// a trigger is accepted at most once every `initiation_interval` cycles —
-// by default equal to the prediction latency. The "-I" ideal variants have
-// zero latency and trigger on every access, exactly how the paper separates
-// TransFetch/Voyager from TransFetch-I/Voyager-I.
+// Latency-bound triggering: each prediction lands L cycles (the prediction
+// latency) after its trigger, and a trigger is accepted at most once every
+// `initiation_interval` cycles. That interval defaults to 1, a fully
+// pipelined predictor; setting it to L (spec parameter `ii=`) models a
+// non-pipelined engine with one prediction outstanding. The "-I" ideal
+// variants have zero latency and trigger on every access, exactly how the
+// paper separates TransFetch/Voyager from TransFetch-I/Voyager-I.
 #pragma once
 
 #include <memory>

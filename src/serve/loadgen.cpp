@@ -11,8 +11,8 @@
 #include <utility>
 
 #include "common/detmath.hpp"
-#include "common/env.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "trace/trace.hpp"
 
 namespace dart::serve {
@@ -47,7 +47,7 @@ struct Stream {
 
 void check_options(const LoadOptions& o) {
   auto fail = [](const char* what) {
-    throw std::invalid_argument(std::string("run_client_load: ") + what);
+    throw common::InputError(std::string("run_client_load: ") + what);
   };
   if (o.streams == 0 || o.streams > kMaxStreams) fail("streams must be in [1, kMaxStreams]");
   if (o.requests_per_stream == 0 || o.requests_per_stream > kMaxPlannedRequests / o.streams) {
@@ -67,10 +67,8 @@ void check_options(const LoadOptions& o) {
 
 LoadOptions LoadOptions::from_env() {
   LoadOptions o;
-  o.streams = static_cast<std::size_t>(
-      common::env_int("DART_SERVE_STREAMS", static_cast<std::int64_t>(o.streams)));
-  o.requests_per_stream = static_cast<std::size_t>(
-      common::env_int("DART_SERVE_REQUESTS", static_cast<std::int64_t>(o.requests_per_stream)));
+  o.streams = common::env_uint("DART_SERVE_STREAMS", o.streams);
+  o.requests_per_stream = common::env_uint("DART_SERVE_REQUESTS", o.requests_per_stream);
   o.rate_per_s = common::env_double("DART_SERVE_RATE", o.rate_per_s);
   const std::string wls = common::env_string("DART_SERVE_WORKLOADS", "");
   if (!wls.empty()) o.workloads = trace::parse_workload_list(wls);

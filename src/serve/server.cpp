@@ -4,8 +4,8 @@
 #include <string>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/fault.hpp"
+#include "common/text.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/configs.hpp"
 #include "io/artifact.hpp"
@@ -26,14 +26,10 @@ void check_geometry(const nn::ModelConfig& a, const nn::ModelConfig& b) {
 }
 
 /// Rejects the config values that size threads, rings and batch buffers,
-/// and the timers, when they exceed their bounds (a negative environment
-/// value or CLI argument reads as a huge unsigned one).
+/// and the timers, when they exceed their bounds.
 void check_bounds(const ServeConfig& c) {
-  auto bound = [](const char* name, std::uint64_t value, std::uint64_t max) {
-    if (value > max) {
-      throw std::invalid_argument(std::string("PrefetchServer: ") + name + " " +
-                                  std::to_string(value) + " exceeds " + std::to_string(max));
-    }
+  auto bound = [](const char* field, std::uint64_t value, std::uint64_t max) {
+    common::check_at_most(std::string("PrefetchServer: ") + field, value, max);
   };
   bound("shards", c.shards, kMaxShards);
   bound("queue_capacity", c.queue_capacity, kMaxRingCapacity);
@@ -48,20 +44,23 @@ void check_bounds(const ServeConfig& c) {
 
 ServeConfig ServeConfig::from_env() {
   ServeConfig c;
-  c.shards = static_cast<std::size_t>(common::env_int("DART_SERVE_SHARDS", 0));
-  c.queue_capacity =
-      static_cast<std::size_t>(common::env_int("DART_SERVE_QUEUE", static_cast<std::int64_t>(c.queue_capacity)));
-  c.batch_cap =
-      static_cast<std::size_t>(common::env_int("DART_SERVE_BATCH", static_cast<std::int64_t>(c.batch_cap)));
-  c.pin_threads = common::env_int("DART_SERVE_PIN", 0) != 0;
-  c.deadline_us = static_cast<std::uint64_t>(
-      common::env_int("DART_SERVE_DEADLINE_US", static_cast<std::int64_t>(c.deadline_us)));
-  c.watermark_hi = static_cast<std::size_t>(
-      common::env_int("DART_SERVE_WATERMARK_HI", static_cast<std::int64_t>(c.watermark_hi)));
-  c.watermark_lo = static_cast<std::size_t>(
-      common::env_int("DART_SERVE_WATERMARK_LO", static_cast<std::int64_t>(c.watermark_lo)));
-  c.watchdog_ms = static_cast<std::size_t>(
-      common::env_int("DART_SERVE_WATCHDOG_MS", static_cast<std::int64_t>(c.watchdog_ms)));
+  // A malformed knob's error names the config field too, as check_bounds
+  // does for a value past its bound.
+  auto knob = [](const char* name, const char* field, std::uint64_t fallback) {
+    try {
+      return common::env_uint(name, fallback);
+    } catch (const common::InputError& e) {
+      throw common::InputError(std::string(e.what()) + " (ServeConfig::" + field + ")");
+    }
+  };
+  c.shards = knob("DART_SERVE_SHARDS", "shards", 0);
+  c.queue_capacity = knob("DART_SERVE_QUEUE", "queue_capacity", c.queue_capacity);
+  c.batch_cap = knob("DART_SERVE_BATCH", "batch_cap", c.batch_cap);
+  c.pin_threads = knob("DART_SERVE_PIN", "pin_threads", 0) != 0;
+  c.deadline_us = knob("DART_SERVE_DEADLINE_US", "deadline_us", c.deadline_us);
+  c.watermark_hi = knob("DART_SERVE_WATERMARK_HI", "watermark_hi", c.watermark_hi);
+  c.watermark_lo = knob("DART_SERVE_WATERMARK_LO", "watermark_lo", c.watermark_lo);
+  c.watchdog_ms = knob("DART_SERVE_WATCHDOG_MS", "watchdog_ms", c.watchdog_ms);
   c.quant = core::quant_mode_from_env();
   return c;
 }

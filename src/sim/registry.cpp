@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/text.hpp"
+
 namespace dart::sim {
 
 namespace {
@@ -48,6 +50,12 @@ class RelabeledPrefetcher final : public Prefetcher {
   std::string label_;
 };
 
+/// How a parameter's value error names it, e.g.
+/// "prefetcher spec 'bo:degree=x': parameter 'degree'".
+std::string param_name(const std::string& text, const std::string& key) {
+  return "prefetcher spec '" + text + "': parameter '" + key + "'";
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ PrefetcherSpec
@@ -58,7 +66,7 @@ PrefetcherSpec PrefetcherSpec::parse(const std::string& text) {
   const std::size_t colon = spec.text_.find(':');
   spec.name_ = lower(trim(spec.text_.substr(0, colon)));
   if (spec.name_.empty()) {
-    throw std::invalid_argument("prefetcher spec '" + text + "' has an empty name");
+    throw common::InputError("prefetcher spec '" + text + "' has an empty name");
   }
   if (colon == std::string::npos) return spec;
 
@@ -75,8 +83,8 @@ PrefetcherSpec PrefetcherSpec::parse(const std::string& text) {
     const std::string key = lower(trim(item.substr(0, eq)));
     const std::string value = trim(item.substr(eq + 1));
     if (key.empty() || value.empty()) {
-      throw std::invalid_argument("prefetcher spec '" + text + "': malformed parameter '" +
-                                  item + "'");
+      throw common::InputError("prefetcher spec '" + text + "': malformed parameter '" +
+                               item + "'");
     }
     spec.params_[key] = value;
   }
@@ -96,32 +104,12 @@ std::string PrefetcherSpec::get_string(const std::string& key, const std::string
 
 std::size_t PrefetcherSpec::get_uint(const std::string& key, std::size_t fallback) {
   const std::string v = get_string(key, "");
-  if (v.empty()) return fallback;
-  try {
-    // std::stoull silently wraps negative input to huge values.
-    if (v[0] == '-' || v[0] == '+') throw std::invalid_argument(v);
-    std::size_t pos = 0;
-    const unsigned long long parsed = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return static_cast<std::size_t>(parsed);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("prefetcher spec '" + text_ + "': parameter '" + key +
-                                "' expects an integer, got '" + v + "'");
-  }
+  return v.empty() ? fallback : common::parse_uint(param_name(text_, key), v);
 }
 
 double PrefetcherSpec::get_double(const std::string& key, double fallback) {
   const std::string v = get_string(key, "");
-  if (v.empty()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("prefetcher spec '" + text_ + "': parameter '" + key +
-                                "' expects a number, got '" + v + "'");
-  }
+  return v.empty() ? fallback : common::parse_double(param_name(text_, key), v);
 }
 
 bool PrefetcherSpec::get_flag(const std::string& key, bool fallback) {
@@ -129,8 +117,7 @@ bool PrefetcherSpec::get_flag(const std::string& key, bool fallback) {
   if (v.empty()) return fallback;
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("prefetcher spec '" + text_ + "': parameter '" + key +
-                              "' expects a boolean, got '" + v + "'");
+  throw common::InputError(param_name(text_, key) + " expects a boolean, got '" + v + "'");
 }
 
 void PrefetcherSpec::set_default(const std::string& key, const std::string& value) {
@@ -204,8 +191,8 @@ void PrefetcherRegistry::validate(const std::string& spec_text) const {
     const std::string hint = spec.name().find(',') != std::string::npos
                                  ? " (separate multiple parameterized specs with ';')"
                                  : "";
-    throw std::invalid_argument("unknown prefetcher '" + spec.name() + "' in spec '" +
-                                spec_text + "'" + hint + "; known: " + known);
+    throw common::InputError("unknown prefetcher '" + spec.name() + "' in spec '" +
+                             spec_text + "'" + hint + "; known: " + known);
   }
 }
 
@@ -238,8 +225,8 @@ std::unique_ptr<Prefetcher> PrefetcherRegistry::make(const std::string& spec_tex
   if (!unused.empty()) {
     std::string keys;
     for (const auto& k : unused) keys += (keys.empty() ? "" : ", ") + k;
-    throw std::invalid_argument("prefetcher spec '" + spec_text +
-                                "': unknown parameter(s): " + keys);
+    throw common::InputError("prefetcher spec '" + spec_text +
+                             "': unknown parameter(s): " + keys);
   }
   if (!label.empty()) pf = std::make_unique<RelabeledPrefetcher>(std::move(pf), label);
   return pf;

@@ -56,7 +56,7 @@ namespace dart::sim {
 /// (`unused_keys`).
 class PrefetcherSpec {
  public:
-  /// Parses `text`; throws std::invalid_argument on an empty name or a
+  /// Parses `text`; throws common::InputError on an empty name or a
   /// malformed `key=value` pair.
   static PrefetcherSpec parse(const std::string& text);
 
@@ -67,8 +67,11 @@ class PrefetcherSpec {
 
   bool has(const std::string& key) const;
   std::string get_string(const std::string& key, const std::string& fallback);
-  /// Throws std::invalid_argument when the value does not parse as a number.
+  /// Throws common::InputError naming the spec and key unless the value is
+  /// a whole unsigned decimal integer (common::parse_uint).
   std::size_t get_uint(const std::string& key, std::size_t fallback);
+  /// Throws common::InputError naming the spec and key unless the value is
+  /// a finite unsigned number (common::parse_double).
   double get_double(const std::string& key, double fallback);
   /// Bare flags ("transfetch:ideal") and 1/true/yes/on are true.
   bool get_flag(const std::string& key, bool fallback = false);
@@ -154,13 +157,13 @@ class PrefetcherRegistry {
                  const std::map<std::string, std::string>& implied = {});
 
   /// Parses `spec_text`, resolves aliases, runs the factory and rejects
-  /// unknown names or unconsumed parameters with std::invalid_argument.
+  /// unknown names or unconsumed parameters with common::InputError.
   /// A `label=<name>` parameter is accepted on every spec and overrides the
   /// constructed prefetcher's display name (for parameter sweeps).
   std::unique_ptr<Prefetcher> make(const std::string& spec_text,
                                    PrefetcherContext& context) const;
 
-  /// Throws std::invalid_argument when `spec_text` is malformed or names an
+  /// Throws common::InputError when `spec_text` is malformed or names an
   /// unregistered prefetcher. Cheap (does not construct anything).
   void validate(const std::string& spec_text) const;
 

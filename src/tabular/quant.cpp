@@ -9,6 +9,8 @@
 #include <immintrin.h>
 #endif
 
+#include "common/text.hpp"
+
 namespace dart::tabular {
 
 namespace {
@@ -246,8 +248,7 @@ QuantMode parse_quant_mode(const std::string& text) {
   if (text == "off") return QuantMode::kOff;
   if (text == "int16") return QuantMode::kInt16;
   if (text == "int8") return QuantMode::kInt8;
-  throw std::invalid_argument("invalid quantization mode '" + text +
-                              "' (expected off|int16|int8)");
+  throw common::InputError("invalid quantization mode '" + text + "' (expected off|int16|int8)");
 }
 
 QuantizedTable quantize_table(const float* table, std::size_t c, std::size_t k,

@@ -39,7 +39,7 @@ enum class QuantMode : std::uint8_t {
 const char* quant_mode_name(QuantMode mode);
 
 /// Parses a knob value ("off" | "int16" | "int8", case-sensitive); throws
-/// std::invalid_argument on anything else so a typo in DART_QUANT or a
+/// common::InputError on anything else so a typo in DART_QUANT or a
 /// `quant=` spec parameter fails loudly instead of silently serving float.
 QuantMode parse_quant_mode(const std::string& text);
 

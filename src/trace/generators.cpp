@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "common/text.hpp"
 
 namespace dart::trace {
 
@@ -242,7 +243,7 @@ App app_from_name(const std::string& name) {
       return app;
     }
   }
-  throw std::invalid_argument("unknown app: " + name);
+  throw common::InputError("unknown app: " + name);
 }
 
 MemoryTrace generate(App app, std::size_t n, std::uint64_t seed) {

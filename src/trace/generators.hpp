@@ -34,7 +34,8 @@ const std::vector<App>& all_apps();
 /// Paper-style display name, e.g. "410.bwaves".
 std::string app_name(App app);
 
-/// Parses "410.bwaves" / "bwaves" etc.; throws on unknown names.
+/// Parses "410.bwaves" / "bwaves" etc.; throws common::InputError on
+/// unknown names.
 App app_from_name(const std::string& name);
 
 /// Generates `n` LLC accesses for `app`, deterministically for a seed.

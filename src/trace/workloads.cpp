@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "io/bytes.hpp"
 #include "trace/trace_file.hpp"
 
@@ -36,7 +37,13 @@ std::string sanitize_name(const std::string& s) {
 }
 
 [[noreturn]] void bad_spec(const std::string& what) {
-  throw std::invalid_argument("workload spec: " + what);
+  throw common::InputError("workload spec: " + what);
+}
+
+/// How a parameter's value error names it, e.g.
+/// "workload spec: sequential: parameter 'footprint'".
+std::string param_name(const std::string& family, const std::string& key) {
+  return "workload spec: " + family + ": parameter '" + key + "'";
 }
 
 }  // namespace
@@ -81,35 +88,16 @@ std::string WorkloadSpec::get_string(const std::string& key, const std::string& 
 std::uint64_t WorkloadSpec::get_size(const std::string& key, std::uint64_t fallback) {
   const std::string v = get_string(key, "");
   if (v.empty()) return fallback;
-  std::uint64_t scale = 1;
-  std::string digits = v;
-  switch (std::tolower(static_cast<unsigned char>(v.back()))) {
-    case 'k': scale = 1ULL << 10; digits.pop_back(); break;
-    case 'm': scale = 1ULL << 20; digits.pop_back(); break;
-    case 'g': scale = 1ULL << 30; digits.pop_back(); break;
-    default: break;
-  }
-  try {
-    std::size_t used = 0;
-    const unsigned long long n = std::stoull(digits, &used);
-    if (used != digits.size() || digits.empty()) throw std::invalid_argument(v);
-    return static_cast<std::uint64_t>(n) * scale;
-  } catch (const std::exception&) {
-    bad_spec(family_ + ": parameter '" + key + "' is not a size: '" + v + "'");
-  }
+  const std::size_t suffix = std::string("kmg").find(lower(v.substr(v.size() - 1)));
+  const unsigned shift = suffix == std::string::npos ? 0 : 10 * (suffix + 1);
+  const std::string digits = shift == 0 ? v : v.substr(0, v.size() - 1);
+  // The digits' max keeps the scaled size inside 64 bits.
+  return common::parse_uint(param_name(family_, key), digits, ~std::uint64_t{0} >> shift) << shift;
 }
 
 double WorkloadSpec::get_double(const std::string& key, double fallback) {
   const std::string v = get_string(key, "");
-  if (v.empty()) return fallback;
-  try {
-    std::size_t used = 0;
-    const double d = std::stod(v, &used);
-    if (used != v.size()) throw std::invalid_argument(v);
-    return d;
-  } catch (const std::exception&) {
-    bad_spec(family_ + ": parameter '" + key + "' is not a number: '" + v + "'");
-  }
+  return v.empty() ? fallback : common::parse_double(param_name(family_, key), v);
 }
 
 std::vector<std::string> WorkloadSpec::unused_keys() const {
@@ -523,7 +511,7 @@ Workload::Workload(App app)
 
 Workload Workload::parse(const std::string& text) {
   const std::string s = trim(text);
-  if (s.empty()) throw std::invalid_argument("workload spec: empty spec");
+  if (s.empty()) bad_spec("empty spec");
   if (lower(s.substr(0, 10)) == "tracefile:") {
     return build_tracefile(WorkloadSpec::parse("tracefile," + s.substr(10)));
   }

@@ -43,7 +43,7 @@ namespace dart::trace {
 /// typos for rejection.
 class WorkloadSpec {
  public:
-  /// Parses "family[,key=value|flag]...". Throws std::invalid_argument on
+  /// Parses "family[,key=value|flag]...". Throws common::InputError on
   /// an empty family name or a malformed pair.
   static WorkloadSpec parse(const std::string& text);
 
@@ -51,7 +51,8 @@ class WorkloadSpec {
 
   bool has(const std::string& key) const;
   std::string get_string(const std::string& key, const std::string& fallback);
-  /// Accepts K/M/G size suffixes ("64M" = 64·2^20). Throws on non-numbers.
+  /// Accepts K/M/G size suffixes ("64M" = 64·2^20). Throws common::InputError
+  /// on a malformed number or a size past 64 bits.
   std::uint64_t get_size(const std::string& key, std::uint64_t fallback);
   double get_double(const std::string& key, double fallback);
 
@@ -77,7 +78,7 @@ class Workload {
 
   /// Parses any accepted spec form: a Table IV app name ("605.mcf",
   /// "mcf"), "trace:<family>,k=v,...", "<family>,k=v,...", or
-  /// "tracefile:path=...". Throws std::invalid_argument on unknown
+  /// "tracefile:path=...". Throws common::InputError on unknown
   /// families/apps, malformed pairs, out-of-range parameters, or unused
   /// keys. Every spec accepts `label=<name>` to override the display name.
   static Workload parse(const std::string& spec);

@@ -1,5 +1,5 @@
 // Unit tests for the common utilities: thread pool, parallel_for, RNG,
-// env-var parsing, and table printing.
+// strict number parsing and env knobs, and table printing.
 //
 // The RNG section pins golden output vectors: the counter-based core
 // (SplitMix64 / wyrand / mix64) and every sampler built on it are part of
@@ -13,13 +13,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 
 #include "common/detmath.hpp"
-#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/table_printer.hpp"
+#include "common/text.hpp"
 #include "common/thread_pool.hpp"
 
 namespace dart::common {
@@ -368,19 +369,44 @@ TEST(DetMath, TracksLibmWithinTolerance) {
   }
 }
 
-TEST(Env, IntParsesAndFallsBack) {
-  ::setenv("DART_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("DART_TEST_INT", 7), 42);
-  ::setenv("DART_TEST_INT", "notanint", 1);
-  EXPECT_EQ(env_int("DART_TEST_INT", 7), 7);
+TEST(Env, UintParsesAndRefusesMalformed) {
   ::unsetenv("DART_TEST_INT");
-  EXPECT_EQ(env_int("DART_TEST_INT", 7), 7);
+  EXPECT_EQ(env_uint("DART_TEST_INT", 7), 7u);  // unset -> fallback
+  ::setenv("DART_TEST_INT", "", 1);
+  EXPECT_EQ(env_uint("DART_TEST_INT", 7), 7u);  // empty -> fallback
+  ::setenv("DART_TEST_INT", "42", 1);
+  EXPECT_EQ(env_uint("DART_TEST_INT", 7), 42u);
+  EXPECT_EQ(env_uint("DART_TEST_INT", 7, 42), 42u);  // the max itself is accepted
+  ::setenv("DART_TEST_INT", "18446744073709551615", 1);
+  EXPECT_EQ(env_uint("DART_TEST_INT", 7), ~std::uint64_t{0});
+  // A malformed value is refused by name, never read as the fallback: a
+  // word, a trailing character, a sign, whitespace, past 64 bits or the max.
+  for (const char* bad : {"notanint", "5x", "-1", " 7", "+7", "7 ", "0x10",
+                          "18446744073709551616"}) {
+    ::setenv("DART_TEST_INT", bad, 1);
+    try {
+      env_uint("DART_TEST_INT", 7);
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const InputError& e) {
+      EXPECT_NE(std::string(e.what()).find("DART_TEST_INT"), std::string::npos) << e.what();
+    }
+  }
+  ::setenv("DART_TEST_INT", "43", 1);
+  EXPECT_THROW(env_uint("DART_TEST_INT", 7, 42), InputError);
+  ::unsetenv("DART_TEST_INT");
 }
 
 TEST(Env, DoubleParses) {
   ::setenv("DART_TEST_DBL", "2.5", 1);
   EXPECT_DOUBLE_EQ(env_double("DART_TEST_DBL", 1.0), 2.5);
+  EXPECT_DOUBLE_EQ(parse_double("x", "1e-3"), 1e-3);
+  EXPECT_DOUBLE_EQ(parse_double("x", ".5"), 0.5);
+  EXPECT_DOUBLE_EQ(parse_double("x", "7"), 7.0);
+  for (const char* bad : {"", "nan", "inf", "-1", "+1", " 1", "2.5x", "1e999", "abc"}) {
+    EXPECT_THROW(parse_double("x", bad), InputError) << "'" << bad << "'";
+  }
   ::unsetenv("DART_TEST_DBL");
+  EXPECT_DOUBLE_EQ(env_double("DART_TEST_DBL", 1.0), 1.0);
 }
 
 TEST(Env, ListSplitsOnComma) {
@@ -404,14 +430,13 @@ TEST(TablePrinter, WritesCsv) {
   TablePrinter t("test");
   t.set_header({"a", "b"});
   t.add_row({"1", "two,with comma"});
+  t.add_row({"a\"b", "line\nbreak"});
   const std::string path = "/tmp/dart_test_table.csv";
   ASSERT_TRUE(t.write_csv(path));
   std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,\"two,with comma\"");
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // RFC 4180: quotes doubled, a line break kept inside a quoted field.
+  EXPECT_EQ(text, "a,b\n1,\"two,with comma\"\n\"a\"\"b\",\"line\nbreak\"\n");
 }
 
 TEST(PinCurrentThread, PinsOnLinuxAndKeepsWorking) {

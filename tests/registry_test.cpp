@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "common/text.hpp"
 #include "core/configs.hpp"
 #include "core/experiment.hpp"
 #include "prefetch/nn_prefetchers.hpp"
@@ -54,7 +55,16 @@ TEST(PrefetcherSpec, RejectsMalformedValues) {
   auto spec = sim::PrefetcherSpec::parse("stride:table=abc");
   EXPECT_THROW(spec.get_uint("table", 0), std::invalid_argument);
   auto negative = sim::PrefetcherSpec::parse("nextline:degree=-1");
-  EXPECT_THROW(negative.get_uint("degree", 0), std::invalid_argument);
+  EXPECT_THROW(negative.get_uint("degree", 0), common::InputError);  // not wrapped to 2^64-1
+  auto trailing = sim::PrefetcherSpec::parse("nextline:degree=5x");
+  EXPECT_THROW(trailing.get_uint("degree", 0), common::InputError);
+  auto nan = sim::PrefetcherSpec::parse("dart:threshold=nan");
+  try {
+    nan.get_double("threshold", 0.5);
+    ADD_FAILURE() << "threshold=nan was accepted";
+  } catch (const common::InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("'threshold'"), std::string::npos) << e.what();
+  }
   EXPECT_THROW(sim::PrefetcherSpec::parse(":degree=2"), std::invalid_argument);
   EXPECT_THROW(sim::PrefetcherSpec::parse("stride:=2"), std::invalid_argument);
 }

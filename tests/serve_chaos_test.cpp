@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/text.hpp"
+#include "common/timer.hpp"
 #include "io/artifact.hpp"
 #include "nn/tensor.hpp"
 #include "nn/transformer.hpp"
@@ -250,7 +252,18 @@ TEST(FaultInjector, RejectsBadSpecsAndKeepsThePreviousPlanArmed) {
   EXPECT_THROW(inj.install("slow-shard:shard=0,us=1,wat=2"), std::invalid_argument);
   EXPECT_THROW(inj.install("drop-wake:p=1.5"), std::invalid_argument);          // p out of range
   EXPECT_THROW(inj.install("drop-wake:seed=1"), std::invalid_argument);         // missing p
+  // Durations neither wrap a sign nor exceed kMaxTimerSeconds, where the
+  // injected sleep's duration would wrap and silently do nothing.
+  const std::string max_us = std::to_string(common::kMaxTimerSeconds * 1000 * 1000);
+  const std::string max_ms = std::to_string(common::kMaxTimerSeconds * 1000);
+  for (const std::string& bad : std::vector<std::string>{
+           "slow-shard:shard=0,us=-1", "slow-shard:shard=0,us=" + max_us + "1",
+           "slow-cell:match=BO,ms=-1", "slow-cell:match=BO,ms=" + max_ms + "1",
+           "slow-cell:match=BO,ms=5x", "drop-wake:p=nan"}) {
+    EXPECT_THROW(inj.install(bad), common::InputError) << bad;
+  }
   EXPECT_TRUE(inj.armed()) << "a failed install must leave the previous plan armed";
+  inj.install("slow-shard:shard=0,us=" + max_us + ";slow-cell:match=BO,ms=" + max_ms);  // bounds
   inj.install("");
   EXPECT_FALSE(inj.armed());
 }

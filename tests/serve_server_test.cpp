@@ -329,7 +329,8 @@ TEST(PrefetchServer, StopIsIdempotentAndStatsSurviveIt) {
 
 TEST(PrefetchServer, RejectsUnboundedSizesBeforeStartingThreads) {
   const auto model = tiny_predictor(1, tiny_arch());
-  // std::stoul("-1") and a negative DART_SERVE_* value both read as this.
+  // The largest value a flag or DART_SERVE_* knob can carry; "-1" is
+  // refused by common::parse_uint before it reaches these bounds.
   const std::size_t huge = std::numeric_limits<std::size_t>::max();
   for (std::size_t ServeConfig::*field :
        {&ServeConfig::queue_capacity, &ServeConfig::completion_capacity, &ServeConfig::batch_cap}) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/text.hpp"
 #include "common/timer.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
@@ -306,18 +307,20 @@ TEST_F(SweepChaosTest, OutOfBoundSweepValuesAreRefusedByName) {
   spec.sweep.cell_retries = kMaxCellRetries;
   EXPECT_EQ(ExperimentRunner(spec).run().count(CellStatus::kDone), 4u);
 
-  // A negative environment value is refused, not read as 0 (which means
-  // "unlimited" for the timeout).
+  // A negative or malformed environment value is refused by name, not read
+  // as 0 (which means "unlimited" for the timeout) or as the default.
   for (const char* name :
        {"DART_SWEEP_TIMEOUT_MS", "DART_SWEEP_RETRIES", "DART_SWEEP_BACKOFF_MS"}) {
     const char* saved = std::getenv(name);
     const std::string saved_value = saved != nullptr ? saved : "";
-    ::setenv(name, "-1", 1);
-    try {
-      SweepOptions::from_env();
-      ADD_FAILURE() << name << "=-1 was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    for (const char* bad : {"-1", "5x", "abc"}) {
+      ::setenv(name, bad, 1);
+      try {
+        SweepOptions::from_env();
+        ADD_FAILURE() << name << "=" << bad << " was accepted";
+      } catch (const common::InputError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      }
     }
     if (saved != nullptr) {
       ::setenv(name, saved_value.c_str(), 1);

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/text.hpp"
 #include "io/bytes.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace_file.hpp"
@@ -57,6 +58,13 @@ TEST(WorkloadSpec, RejectsMalformedInput) {
   EXPECT_THROW(WorkloadSpec::parse(",theta=0.9"), std::invalid_argument);
   EXPECT_THROW(WorkloadSpec::parse("zipfian,=0.9"), std::invalid_argument);
   EXPECT_THROW(Workload::parse("trace:zipfian,theta=abc"), std::invalid_argument);
+  // Sizes neither wrap a sign nor overflow 64 bits once scaled.
+  EXPECT_THROW(Workload::parse("trace:sequential,footprint=-1"), common::InputError);
+  EXPECT_THROW(Workload::parse("trace:sequential,footprint=99999999999999g"),
+               common::InputError);
+  WorkloadSpec largest = WorkloadSpec::parse("x,a=17179869183g,b=17179869184g");
+  EXPECT_EQ(largest.get_size("a", 0), 17179869183ULL << 30);
+  EXPECT_THROW(largest.get_size("b", 0), common::InputError);
 }
 
 TEST(Workload, ParseAcceptsAppNamesAndFamilies) {

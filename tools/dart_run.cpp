@@ -38,14 +38,18 @@
 // serves the artifact's linear tables quantized (DESIGN.md §10).
 // DART_FAULT=<spec> arms the deterministic fault injector for the serve
 // run (DESIGN.md §11), e.g. DART_FAULT="slow-shard:shard=0,us=2000".
+//
+// Every N is a whole unsigned decimal token. Exit codes: 0 = done, 2 = bad
+// flag, environment knob, spec or DART_FAULT value (refused by name),
+// 1 = any other failure.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 
-#include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "common/timer.hpp"
 #include "nn/metrics.hpp"
 #include "core/configs.hpp"
@@ -255,20 +259,13 @@ int main(int argc, char** argv) try {
   const std::string path = argv[1];
   bool info_mode = false, bench_mode = false, simulate_mode = false, serve_mode = false;
   std::string app_override;
-  std::size_t queries =
-      static_cast<std::size_t>(common::env_int("DART_BENCH_QUERIES", 4096));
+  std::size_t queries = common::env_uint("DART_BENCH_QUERIES", 4096);
   serve::ServeConfig serve_config = serve::ServeConfig::from_env();
   serve::LoadOptions serve_load = serve::LoadOptions::from_env();
 
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(usage(argv[0]));
-      }
-      return argv[++i];
-    };
+    auto value = [&] { return common::flag_value(argc, argv, i); };
     if (arg == "--info") {
       info_mode = true;
     } else if (arg == "--bench") {
@@ -280,15 +277,15 @@ int main(int argc, char** argv) try {
     } else if (arg == "--app" || arg == "--workload") {
       app_override = value();
     } else if (arg == "--queries") {
-      queries = static_cast<std::size_t>(std::stoul(value()));
+      queries = common::parse_uint(arg, value());
     } else if (arg == "--streams") {
-      serve_load.streams = static_cast<std::size_t>(std::stoul(value()));
+      serve_load.streams = common::parse_uint(arg, value());
     } else if (arg == "--requests") {
-      serve_load.requests_per_stream = static_cast<std::size_t>(std::stoul(value()));
+      serve_load.requests_per_stream = common::parse_uint(arg, value());
     } else if (arg == "--shards") {
-      serve_config.shards = static_cast<std::size_t>(std::stoul(value()));
+      serve_config.shards = common::parse_uint(arg, value());
     } else if (arg == "--batch-cap") {
-      serve_config.batch_cap = static_cast<std::size_t>(std::stoul(value()));
+      serve_config.batch_cap = common::parse_uint(arg, value());
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
       return usage(argv[0]);
@@ -339,6 +336,5 @@ int main(int argc, char** argv) try {
   }
   return 0;
 } catch (const std::exception& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
+  return common::report_error(e);
 }

@@ -26,10 +26,11 @@
 //                      the mode the resume CI job uses)
 //   --compact          rewrite the store log to one record per cell at exit
 //
-// N is a whole unsigned decimal token: "abc", "5x" or "-1" prints usage and
-// exits 2. A value past its bound is refused by name before the store is
-// opened. Every cell replays once, through sim::Simulator::run; the sweep
-// fans out across cells on the shared thread pool.
+// N is a whole unsigned decimal token (common::parse_uint): "abc", "5x" or
+// "-1" is refused by flag name, exit 2. A value past its bound is refused by
+// name before the store is opened. Every cell replays once, through
+// sim::Simulator::run; the sweep fans out across cells on the shared thread
+// pool.
 //
 // DART_FAULT=<spec> arms the deterministic fault injector (common/fault.hpp)
 // before the sweep, e.g. DART_FAULT="crash-after-commit:after=2,hard=1".
@@ -38,15 +39,13 @@
 // finished but quarantined at least one cell (results partial, loudly), 17
 // (common::kCrashExitCode) = an injected hard crash fired, 2 = bad flag,
 // environment knob or DART_FAULT spec, 1 = crash/error.
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
-#include "common/env.hpp"
 #include "common/fault.hpp"
+#include "common/text.hpp"
 #include "core/experiment.hpp"
 #include "core/result_store.hpp"
 #include "sim/registry.hpp"
@@ -65,76 +64,37 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Parses a whole unsigned decimal token; false on an empty, signed,
-/// non-numeric or out-of-range one.
-bool parse_count(const char* text, std::uint64_t* out) {
-  if (*text < '0' || *text > '9') return false;  // "", "-1", "+1", " 1"
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno == ERANGE || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  core::ExperimentSpec spec;
+int main(int argc, char** argv) try {
+  core::ExperimentSpec spec = core::ExperimentSpec::bench_defaults();
+  spec.sweep = core::SweepOptions::from_env();
   std::string csv_path;
   std::string json_path;
   bool compact = false;
 
-  try {
-    spec = core::ExperimentSpec::bench_defaults();
-    spec.sweep = core::SweepOptions::from_env();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    // The numeric flags: a missing or malformed N is a usage error.
-    auto count = [&](std::uint64_t* out) {
-      const char* v = value();
-      if (v != nullptr && parse_count(v, out)) return true;
-      std::fprintf(stderr, "invalid value for %s: %s\n", arg.c_str(), v ? v : "(missing)");
-      return false;
-    };
+    auto value = [&] { return common::flag_value(argc, argv, i); };
     if (arg == "--store") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.sweep.store_dir = v;
+      spec.sweep.store_dir = value();
     } else if (arg == "--workloads") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
       spec.workloads.clear();
-      for (const trace::Workload& w : trace::parse_workload_list(v)) {
+      for (const trace::Workload& w : trace::parse_workload_list(value())) {
         spec.workloads.push_back(w.spec());
       }
     } else if (arg == "--prefetchers") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec.prefetchers = sim::split_spec_list(v);
+      spec.prefetchers = sim::split_spec_list(value());
     } else if (arg == "--csv") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      csv_path = v;
+      csv_path = value();
     } else if (arg == "--json") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      json_path = v;
+      json_path = value();
     } else if (arg == "--timeout-ms") {
-      if (!count(&spec.sweep.cell_timeout_ms)) return usage(argv[0]);
+      spec.sweep.cell_timeout_ms = common::parse_uint(arg, value());
     } else if (arg == "--retries") {
-      if (!count(&spec.sweep.cell_retries)) return usage(argv[0]);
+      spec.sweep.cell_retries = common::parse_uint(arg, value());
     } else if (arg == "--backoff-ms") {
-      if (!count(&spec.sweep.backoff_ms)) return usage(argv[0]);
+      spec.sweep.backoff_ms = common::parse_uint(arg, value());
     } else if (arg == "--sequential") {
       spec.parallel = false;
     } else if (arg == "--compact") {
@@ -149,58 +109,50 @@ int main(int argc, char** argv) {
   // the serve path: chaos tests exercise the exact binary that ships.
   const std::string fault_spec = common::env_string("DART_FAULT", "");
   if (!fault_spec.empty()) {
-    try {
-      common::fault_injector().install(fault_spec);
-      std::fprintf(stderr, "[fault] armed: %s\n", fault_spec.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[fault] invalid DART_FAULT: %s\n", e.what());
-      return 2;
-    }
+    common::fault_injector().install(fault_spec);
+    std::fprintf(stderr, "[fault] armed: %s\n", fault_spec.c_str());
   }
 
-  try {
-    core::ExperimentRunner runner(spec);
-    core::ExperimentResult result = runner.run();
+  core::ExperimentRunner runner(spec);
+  core::ExperimentResult result = runner.run();
 
-    const std::size_t done = result.count(core::CellStatus::kDone);
-    const std::size_t failed = result.count(core::CellStatus::kFailed);
-    const std::size_t skipped = result.count(core::CellStatus::kSkipped);
-    std::printf("sweep      : %zu cell(s) — %zu simulated, %zu reused from store, "
-                "%zu quarantined\n",
-                result.cells.size(), done, skipped, failed);
-    for (const auto& c : result.cells) {
-      if (c.status == core::CellStatus::kFailed) {
-        std::printf("quarantined: %s | %s after %u attempt(s): %s\n", c.app.c_str(),
-                    c.spec.c_str(), c.attempts, c.error.c_str());
-      }
+  const std::size_t done = result.count(core::CellStatus::kDone);
+  const std::size_t failed = result.count(core::CellStatus::kFailed);
+  const std::size_t skipped = result.count(core::CellStatus::kSkipped);
+  std::printf("sweep      : %zu cell(s) — %zu simulated, %zu reused from store, "
+              "%zu quarantined\n",
+              result.cells.size(), done, skipped, failed);
+  for (const auto& c : result.cells) {
+    if (c.status == core::CellStatus::kFailed) {
+      std::printf("quarantined: %s | %s after %u attempt(s): %s\n", c.app.c_str(),
+                  c.spec.c_str(), c.attempts, c.error.c_str());
     }
-    if (done + failed + skipped != result.cells.size()) {
-      std::fprintf(stderr, "accounting violation: %zu + %zu + %zu != %zu\n", done, failed,
-                   skipped, result.cells.size());
-      return 1;
-    }
-
-    if (!csv_path.empty() && !result.write_csv(csv_path)) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
-      return 1;
-    }
-    if (!json_path.empty() && !result.write_json(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    if (compact && !spec.sweep.store_dir.empty()) {
-      core::ResultStore store(spec.sweep.store_dir);
-      store.compact();
-      std::printf("store      : compacted to %zu record(s)\n", store.size());
-    }
-    return failed > 0 ? 3 : 0;
-  } catch (const core::SweepCrash& e) {
-    // The injected soft crash: committed cells are durable, the rest will
-    // be re-run on resume. Mirror what a real crash would leave behind.
-    std::fprintf(stderr, "sweep crashed: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+  }
+  if (done + failed + skipped != result.cells.size()) {
+    std::fprintf(stderr, "accounting violation: %zu + %zu + %zu != %zu\n", done, failed,
+                 skipped, result.cells.size());
     return 1;
   }
+
+  if (!csv_path.empty() && !result.write_csv(csv_path)) {
+    std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
+    return 1;
+  }
+  if (!json_path.empty() && !result.write_json(json_path)) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
+  }
+  if (compact && !spec.sweep.store_dir.empty()) {
+    core::ResultStore store(spec.sweep.store_dir);
+    store.compact();
+    std::printf("store      : compacted to %zu record(s)\n", store.size());
+  }
+  return failed > 0 ? 3 : 0;
+} catch (const core::SweepCrash& e) {
+  // The injected soft crash: committed cells are durable, the rest will be
+  // re-run on resume. Mirror what a real crash would leave behind.
+  std::fprintf(stderr, "sweep crashed: %s\n", e.what());
+  return 1;
+} catch (const std::exception& e) {
+  return common::report_error(e);
 }

@@ -28,12 +28,16 @@
 //                    canonical form), 1 invalid (prints the parse error).
 //                    The CI negative check asserts malformed specs fail.
 //   --list           print the known synthetic family names.
+//
+// N and S are whole unsigned decimal tokens. Exit codes: 0 = done, 2 = bad
+// flag or spec (refused by name), 1 = any other failure.
 #include <cstdio>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/text.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_file.hpp"
 #include "trace/workloads.hpp"
@@ -119,19 +123,13 @@ int main(int argc, char** argv) try {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(usage(argv[0]));
-      }
-      return argv[++i];
-    };
+    auto value = [&] { return common::flag_value(argc, argv, i); };
     if (arg == "--spec") {
       spec_text = value();
     } else if (arg == "--n") {
-      n = static_cast<std::size_t>(std::stoull(value()));
+      n = common::parse_uint(arg, value());
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::stoull(value()));
+      seed = common::parse_uint(arg, value());
     } else if (arg == "--out") {
       out_path = value();
     } else if (arg == "--hash") {
@@ -188,6 +186,5 @@ int main(int argc, char** argv) try {
   if (stats_mode) print_stats(t);
   return 0;
 } catch (const std::exception& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
+  return common::report_error(e);
 }

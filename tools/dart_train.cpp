@@ -21,11 +21,15 @@
 // Scale knobs come from the DART_* environment (see README.md): a quick
 // smoke run is `DART_EPOCHS=1 DART_TRAIN_SAMPLES=800 DART_SIM_INSTR=60000
 // dart_train --app 462.libquantum --variant s`.
+//
+// Exit codes: 0 = trained and verified, 2 = bad flag, environment knob or
+// spec (a malformed number is refused by name), 1 = any other failure.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "common/text.hpp"
 #include "common/timer.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/pipeline.hpp"
@@ -54,21 +58,15 @@ int main(int argc, char** argv) try {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(usage(argv[0]));
-      }
-      return argv[++i];
-    };
+    auto value = [&] { return common::flag_value(argc, argv, i); };
     if (arg == "--app" || arg == "--workload") {
       app_name = value();
     } else if (arg == "--variant") {
       request.variant = value();
     } else if (arg == "--tables") {
-      request.table_k = static_cast<std::size_t>(std::stoul(value()));
+      request.table_k = common::parse_uint(arg, value());
     } else if (arg == "--codebooks") {
-      request.table_c = static_cast<std::size_t>(std::stoul(value()));
+      request.table_c = common::parse_uint(arg, value());
     } else if (arg == "--out") {
       out_path = value();
     } else if (arg == "--artifact-dir") {
@@ -128,6 +126,5 @@ int main(int argc, char** argv) try {
   }
   return 0;
 } catch (const std::exception& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
+  return common::report_error(e);
 }
