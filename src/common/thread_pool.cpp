@@ -16,6 +16,7 @@ thread_local bool t_inside_pool = false;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
+  check_at_most("ThreadPool: num_threads", num_threads, kMaxThreads);
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -85,7 +86,7 @@ void ThreadPool::worker_loop() {
 
 ThreadPool& ThreadPool::instance() {
   // DART_THREADS overrides the worker count (0 = hardware_concurrency).
-  static ThreadPool pool(env_uint("DART_THREADS", 0));
+  static ThreadPool pool(env_uint("DART_THREADS", 0, kMaxThreads));
   return pool;
 }
 

@@ -18,6 +18,11 @@
 
 namespace dart::common {
 
+/// Upper bound on a pool's worker count (and on DART_THREADS), the same as
+/// the serving layer's shard bound: past it a typo would start that many
+/// threads.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// A fixed-size worker pool executing arbitrary tasks.
 ///
 /// Tasks are `std::function<void()>`; `wait_idle()` blocks until every
@@ -32,6 +37,8 @@ namespace dart::common {
 class ThreadPool {
  public:
   /// Creates `num_threads` workers; 0 means `hardware_concurrency()`.
+  /// Throws InputError, before starting any thread, when `num_threads`
+  /// exceeds kMaxThreads.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 

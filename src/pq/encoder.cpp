@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "pq/kmeans.hpp"
 
-#if defined(__AVX512F__)
+#if defined(__AVX512F__) && defined(__AVX512VL__)
 #include <immintrin.h>
 #define DART_HASH_TREE_SIMD 1
 #else
@@ -20,36 +21,140 @@ namespace dart::pq {
 #if DART_HASH_TREE_SIMD
 namespace {
 
-/// kPath3[m] = the 3-bit position (b0 b1 b2) a walk reaches after the top
-/// three levels of a block whose first seven decisions are the bits of m.
-struct Path3 {
-  std::uint8_t at[128];
-  constexpr Path3() : at() {
-    for (unsigned m = 0; m < 128; ++m) {
-      unsigned lane = 0, pos = 0;
-      for (int l = 0; l < 3; ++l) {
-        const unsigned bit = (m >> lane) & 1u;
-        pos = 2 * pos + bit;
-        lane = 2 * lane + 1 + bit;
-      }
-      at[m] = static_cast<std::uint8_t>(pos);
-    }
+/// Lane r's entry `level[node_r]` of one tree level of `width` entries:
+/// one vpermd up to 16 entries, one vpermt2d at 32, two and a blend at 64,
+/// a gather beyond. (The masked forms with a full mask are the same
+/// instructions; they spare GCC 12 a false -Wmaybe-uninitialized.)
+inline __m512i level_fetch(const std::int32_t* level, std::size_t width, __m512i node) {
+  if (width <= 16) {
+    return _mm512_maskz_permutexvar_epi32(0xFFFF, node, _mm512_loadu_si512(level));
   }
-};
-constexpr Path3 kPath3;
+  if (width == 32) {
+    return _mm512_permutex2var_epi32(_mm512_loadu_si512(level), node,
+                                     _mm512_loadu_si512(level + 16));
+  }
+  if (width == 64) {
+    const __m512i lo = _mm512_permutex2var_epi32(_mm512_loadu_si512(level), node,
+                                                 _mm512_loadu_si512(level + 16));
+    const __m512i hi = _mm512_permutex2var_epi32(_mm512_loadu_si512(level + 32), node,
+                                                 _mm512_loadu_si512(level + 48));
+    return _mm512_mask_blend_epi32(_mm512_test_epi32_mask(node, _mm512_set1_epi32(32)), lo, hi);
+  }
+  return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), 0xFFFF, node, level, 4);
+}
 
-/// The row's V <= 16 * W floats (W = 1 or 4), gathered by the block's
-/// split dims.
-template <int W>
-inline __m512 permute_row(const __m512 (&r)[W], __m512i dims) {
-  if constexpr (W == 1) {
+/// Lane r's float at flat index r*R + (idx_r mod R) of the registers that
+/// hold consecutive rows of R floats each, `kRegs` of them. `idx` already
+/// carries the row's offset within its register pair, (r*R) mod 32; lane
+/// r's pair is fixed, so the pairs' results merge under constant masks.
+template <int R, int kRegs>
+inline __m512 pick(const __m512 (&reg)[kRegs], __m512i idx) {
+  if constexpr (kRegs == 1) {
     // The zero-masking form with a full mask is the same vpermps; it spares
     // GCC 12 a false -Wmaybe-uninitialized in the unmasked intrinsic.
-    return _mm512_maskz_permutexvar_ps(0xFFFF, dims, r[0]);
+    return _mm512_maskz_permutexvar_ps(0xFFFF, idx, reg[0]);
   } else {
-    const __m512 lo = _mm512_permutex2var_ps(r[0], dims, r[1]);
-    const __m512 hi = _mm512_permutex2var_ps(r[2], dims, r[3]);
-    return _mm512_mask_blend_ps(_mm512_test_epi32_mask(dims, _mm512_set1_epi32(32)), lo, hi);
+    constexpr int kLanes = 32 / R;  // rows per register pair
+    __m512 x = _mm512_permutex2var_ps(reg[0], idx, reg[1]);
+#pragma GCC unroll 8
+    for (int j = 1; j < kRegs / 2; ++j) {
+      const auto lanes = static_cast<__mmask16>(((1u << kLanes) - 1u) << (j * kLanes));
+      x = _mm512_mask_mov_ps(x, lanes, _mm512_permutex2var_ps(reg[2 * j], idx, reg[2 * j + 1]));
+    }
+    return x;
+  }
+}
+
+/// A uniform tree's per-level tables, as HashTreeEncoder derives them.
+struct LevelTables {
+  const std::int32_t* dims;
+  const std::int32_t* thresholds;
+  std::size_t depth;
+};
+
+/// Walks the `c` <= kRows rows at `group` down the tree, lane r holding row
+/// r's node, one level per step, and returns the leaf positions. R > 0
+/// keeps rows of V <= R floats (R a power of two) in registers, row r at
+/// float r*R; `base` is then (r*R) mod 32. R = 0 gathers each level's
+/// floats from memory, for wider rows; `base` is then r * row_stride. Spare
+/// lanes walk zeros.
+template <int R, int kRows>
+inline __m512i walk_group(const LevelTables& t, __m512i base, __mmask16 row_mask,
+                          const float* group, std::size_t row_stride, std::size_t c) {
+  constexpr int kRegs = R > 0 && R * kRows > 16 ? R * kRows / 16 : 1;
+  __m512 reg[kRegs];
+  if constexpr (R > 0) {
+    for (int w = 0; w < kRegs; ++w) reg[w] = _mm512_setzero_ps();
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < kRows; ++r) {
+      if (r >= c) break;
+      // The expand load reads the row's V floats and forms no pointer
+      // before the row; a row with a register of its own loads plainly.
+      const std::size_t w = r * R / 16;
+      if constexpr (R == 16) {
+        reg[w] = _mm512_maskz_loadu_ps(row_mask, group + r * row_stride);
+      } else {
+        reg[w] = _mm512_mask_expandloadu_ps(
+            reg[w], static_cast<__mmask16>(row_mask << (r * R % 16)), group + r * row_stride);
+      }
+    }
+  }
+  const auto live = static_cast<__mmask16>((1u << c) - 1u);
+  __m512i node = _mm512_setzero_si512();
+  for (std::size_t l = 0, width = 1; l < t.depth; ++l, width *= 2) {
+    const __m512i idx = _mm512_add_epi32(level_fetch(t.dims + width - 1, width, node), base);
+    const __m512 thr = _mm512_castsi512_ps(level_fetch(t.thresholds + width - 1, width, node));
+    __m512 x;
+    if constexpr (R > 0) {
+      x = pick<R, kRegs>(reg, idx);
+    } else if constexpr (kRows == 8) {
+      // Eight lanes gather at half the cost of sixteen. The zero-masking
+      // forms spare GCC 12 a false -Wmaybe-uninitialized.
+      const __m256 x8 =
+          _mm256_mmask_i32gather_ps(_mm256_setzero_ps(), static_cast<__mmask8>(live),
+                                    _mm512_maskz_extracti64x4_epi64(0xF, idx, 0), group, 4);
+      x = _mm512_castpd_ps(
+          _mm512_maskz_insertf64x4(0xFF, _mm512_setzero_pd(), _mm256_castps_pd(x8), 0));
+    } else {
+      x = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), live, idx, group, 4);
+    }
+    // The same `x > threshold` as the scalar walk; false for NaN.
+    const __mmask16 right = _mm512_cmp_ps_mask(x, thr, _CMP_GT_OQ);
+    node = _mm512_add_epi32(node, node);
+    node = _mm512_mask_add_epi32(node, right, node, _mm512_set1_epi32(1));
+  }
+  return node;
+}
+
+/// The rows-in-lanes walk (DESIGN.md §6) over groups of 16 rows; a group of
+/// at most 8 rows keeps only their registers. Stores real codes only.
+template <int R>
+void walk_lanes(const LevelTables& t, const std::int32_t* leaves, std::size_t v,
+                const float* rows, std::size_t row_stride, std::size_t n,
+                std::uint32_t* codes_out, std::size_t code_stride) {
+  const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  // The caller keeps 15 * row_stride + v inside int32.
+  const __m512i base =
+      R > 0 ? _mm512_and_si512(_mm512_mullo_epi32(lane, _mm512_set1_epi32(R)),
+                               _mm512_set1_epi32(31))
+            : _mm512_mullo_epi32(lane, _mm512_set1_epi32(static_cast<std::int32_t>(row_stride)));
+  const auto row_mask = static_cast<__mmask16>(R > 0 ? (1u << v) - 1u : 0u);
+  for (std::size_t i0 = 0; i0 < n; i0 += 16) {
+    const std::size_t c = std::min<std::size_t>(16, n - i0);
+    const float* group = rows + i0 * row_stride;
+    const __m512i node = c > 8
+                             ? walk_group<R, 16>(t, base, row_mask, group, row_stride, c)
+                             : walk_group<R, 8>(t, base, row_mask, group, row_stride, c);
+    const auto live = static_cast<__mmask16>((1u << c) - 1u);
+    const __m512i code =
+        _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), live, node, leaves, 4);
+    if (code_stride == 1) {
+      _mm512_mask_storeu_epi32(codes_out + i0, live, code);
+    } else {
+      alignas(64) std::uint32_t at[16];
+      _mm512_store_si512(at, code);
+      for (std::size_t r = 0; r < c; ++r) codes_out[(i0 + r) * code_stride] = at[r];
+    }
   }
 }
 
@@ -155,31 +260,12 @@ void HashTreeEncoder::index_tree() {
     }
   }
 #if DART_HASH_TREE_SIMD
-  if (!uniform_ || depth_ == 0 || v_ > 64) return;
-  // Cut the levels into stages of 4; each node at a stage's top level roots
-  // one block. Heap node (level l, position p) sits at 2^l - 1 + p, so the
-  // block rooted at position `pos` of level `top` holds, at relative level
-  // rl, the heap nodes 2^(top+rl) - 1 + (pos << rl) + q for q < 2^rl.
-  for (std::size_t top = 0; top < depth_; top += 4) {
-    const std::size_t levels = std::min<std::size_t>(4, depth_ - top);
-    stages_.push_back({static_cast<std::uint32_t>(blocks_.size()),
-                       static_cast<std::uint32_t>(levels)});
-    for (std::size_t pos = 0; pos < (1ULL << top); ++pos) {
-      Block b;
-      for (std::size_t lane = 0; lane < 16; ++lane) {
-        b.split_dim[lane] = 0;
-        b.threshold[lane] = std::numeric_limits<float>::infinity();
-      }
-      for (std::size_t rl = 0; rl < levels; ++rl) {
-        for (std::size_t q = 0; q < (1ULL << rl); ++q) {
-          const HotNode& nd = hot_[(1ULL << (top + rl)) - 1 + (pos << rl) + q];
-          const std::size_t lane = (1ULL << rl) - 1 + q;
-          b.split_dim[lane] = static_cast<std::int32_t>(nd.split_dim);
-          b.threshold[lane] = nd.threshold;
-        }
-      }
-      blocks_.push_back(b);
-    }
+  if (!uniform_) return;
+  level_dims_.assign(internal + 16, 0);
+  level_thresholds_.assign(internal + 16, 0);
+  for (std::size_t i = 0; i < internal; ++i) {
+    level_dims_[i] = static_cast<std::int32_t>(hot_[i].split_dim);
+    std::memcpy(&level_thresholds_[i], &hot_[i].threshold, sizeof(float));
   }
 #endif
 }
@@ -241,69 +327,25 @@ std::uint32_t HashTreeEncoder::encode(const float* row) const {
   return static_cast<std::uint32_t>(protos_[idx]);
 }
 
-#if DART_HASH_TREE_SIMD
-template <int W>
-void HashTreeEncoder::walk_blocks(const float* rows, std::size_t row_stride, std::size_t n,
-                                  std::uint32_t* codes_out, std::size_t code_stride) const {
-  // Chunks of rows advance stage by stage so their dependency chains
-  // (block load -> permute -> compare -> next block) overlap. A short last
-  // chunk re-walks its final row in the spare slots.
-  constexpr std::size_t kChunk = 8;
-  __mmask16 load_mask[W];
-  std::size_t load_at[W];  // a register past the row loads nothing, from the row start
-  for (int w = 0; w < W; ++w) {
-    const std::size_t lo = 16 * static_cast<std::size_t>(w);
-    const std::size_t len = v_ > lo ? std::min<std::size_t>(16, v_ - lo) : 0;
-    load_mask[w] = static_cast<__mmask16>((1u << len) - 1u);
-    load_at[w] = len > 0 ? lo : 0;
-  }
-  const Block* blocks = blocks_.data();
-  const std::int32_t* leaf = protos_.data() + ((1ULL << depth_) - 1);  // last level
-  for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
-    const std::size_t c = std::min(kChunk, n - i0);
-    __m512 r[kChunk][W];
-    std::uint32_t pos[kChunk];
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < kChunk; ++j) {
-      const float* row = rows + (i0 + std::min(j, c - 1)) * row_stride;
-      for (int w = 0; w < W; ++w) r[j][w] = _mm512_maskz_loadu_ps(load_mask[w], row + load_at[w]);
-      pos[j] = 0;
-    }
-    for (const Stage& st : stages_) {
-      const Block* stage_blocks = blocks + st.first;
-      const unsigned drop = 4 - st.levels;
-#pragma GCC unroll 8
-      for (std::size_t j = 0; j < kChunk; ++j) {
-        const Block& b = stage_blocks[pos[j]];
-        const __m512 x = permute_row<W>(r[j], _mm512_load_si512(b.split_dim));
-        // The same `x > threshold` as the scalar walk; false for NaN.
-        const unsigned m = _mm512_cmp_ps_mask(x, _mm512_load_ps(b.threshold), _CMP_GT_OQ);
-        const unsigned t = kPath3.at[m & 0x7fu];
-        const unsigned p = (t << 1) | ((m >> (7 + t)) & 1u);
-        pos[j] = (pos[j] << st.levels) | (p >> drop);
-      }
-    }
-    for (std::size_t j = 0; j < c; ++j) {
-      codes_out[(i0 + j) * code_stride] = static_cast<std::uint32_t>(leaf[pos[j]]);
-    }
-  }
-}
-#endif
-
 void HashTreeEncoder::encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
                                    std::uint32_t* codes_out, std::size_t code_stride) const {
 #if DART_HASH_TREE_SIMD
-  if (!stages_.empty()) {
-    if (v_ <= 16) {
-      walk_blocks<1>(rows, row_stride, n, codes_out, code_stride);
-    } else {
-      walk_blocks<4>(rows, row_stride, n, codes_out, code_stride);
-    }
+  // The lane walk's gathers index a group of 16 rows with int32 offsets.
+  if (!level_dims_.empty() && row_stride <= (0x7fffffffu - v_) / 15) {
+    const LevelTables t{level_dims_.data(), level_thresholds_.data(), depth_};
+    const std::int32_t* leaves = protos_.data() + ((std::size_t{1} << depth_) - 1);
+    const auto walk = v_ <= 1    ? walk_lanes<1>
+                      : v_ <= 2  ? walk_lanes<2>
+                      : v_ <= 4  ? walk_lanes<4>
+                      : v_ <= 8  ? walk_lanes<8>
+                      : v_ <= 16 ? walk_lanes<16>
+                                 : walk_lanes<0>;
+    walk(t, leaves, v_, rows, row_stride, n, codes_out, code_stride);
     return;
   }
 #endif
-  // Portable walk: the scalar twin of walk_blocks, and the path for
-  // non-uniform trees and rows wider than 64 floats.
+  // Portable walk: the scalar twin of walk_lanes, and the path for
+  // non-uniform trees.
   const HotNode* hot = hot_.data();
   const std::int32_t* leaf = protos_.data();
   if (uniform_) {

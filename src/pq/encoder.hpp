@@ -9,8 +9,9 @@
 //    with one scalar comparison per level (O(log K)), standing in for the
 //    locality-sensitive hashing of MADDNESS [24] that the paper's latency
 //    model assumes (Eq. 16: L_g = log K). Stored as structure-of-arrays and
-//    walked iteratively; on AVX-512 hosts `encode_batch` walks a derived
-//    4-level block layout instead, one vector compare per four levels.
+//    walked iteratively; on AVX-512 hosts `encode_batch` walks 16 rows at a
+//    time instead, one row per lane and one tree level per step, as MADDNESS
+//    does (DESIGN.md §6).
 //
 // The batch entry point `encode_batch` is the inference hot path: one
 // virtual call per (subspace, block of rows) instead of one per token.
@@ -112,31 +113,11 @@ class HashTreeEncoder final : public Encoder {
   const std::vector<std::int32_t>& leaves() const { return protos_; }
 
  private:
-  /// One 4-level subtree of a uniform tree: its 15 nodes in breadth-first
-  /// order (children of lane i at 2i+1/2i+2), padded to 16 lanes. Padding
-  /// lanes (lane 15, and the levels a short last stage lacks) hold
-  /// threshold +inf, so they never fire.
-  struct alignas(64) Block {
-    std::int32_t split_dim[16];
-    float threshold[16];
-  };
-  /// A run of up to 4 tree levels: its blocks start at `blocks_[first]`,
-  /// one per node at the stage's top level, in heap order.
-  struct Stage {
-    std::uint32_t first = 0;
-    std::uint32_t levels = 0;
-  };
-
   void build(std::vector<std::uint32_t> protos, const nn::Tensor& prototypes,
              std::size_t node_idx);
-  /// Sets `uniform_` and derives the block layout from the heap (both
-  /// constructors end here).
+  /// Sets `uniform_` and derives the per-level tables of the vector walk
+  /// from the heap (both constructors end here).
   void index_tree();
-  /// The vector walk over `blocks_` for rows of V <= 16 * W floats, W = 1
-  /// or 4 (AVX-512 builds only; defined in encoder.cpp).
-  template <int W>
-  void walk_blocks(const float* rows, std::size_t row_stride, std::size_t n,
-                   std::uint32_t* codes_out, std::size_t code_stride) const;
 
   // Flattened heap (children of i at 2i+1/2i+2) split hot/cold: the walk
   // touches only the 8-byte {split_dim, threshold} pairs; leaf prototype
@@ -150,11 +131,13 @@ class HashTreeEncoder final : public Encoder {
   // True when every leaf sits at exactly depth_ (K a power of two): the
   // walk then needs no per-step leaf test and runs branchless.
   bool uniform_ = false;
-  // Derived, never serialized: the vector walk's block layout (DESIGN.md
-  // §6). Empty unless the tree is uniform, V <= 64 and the build targets
-  // AVX-512; encode_batch then falls back to the heap walk.
-  std::vector<Block> blocks_;
-  std::vector<Stage> stages_;
+  // Derived, never serialized: the internal nodes' split dims and threshold
+  // bits in heap order, so level l's 2^l nodes start at 2^l - 1, then 16
+  // padding entries that let a level narrower than 16 nodes load as one
+  // vector (DESIGN.md §6). Empty unless the tree is uniform and the build
+  // targets AVX-512 (F and VL); encode_batch then takes the heap walk.
+  std::vector<std::int32_t> level_dims_;
+  std::vector<std::int32_t> level_thresholds_;
 };
 
 /// Factory choice used across the tabular stack.

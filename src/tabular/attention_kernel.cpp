@@ -9,9 +9,54 @@
 #include "nn/ops.hpp"
 #include "pq/kmeans.hpp"
 
+#if defined(__AVX512F__) && defined(__AVX512VL__)
+#include <immintrin.h>
+#define DART_ATTN_SIMD 1
+#else
+#define DART_ATTN_SIMD 0
+#endif
+
 namespace dart::tabular {
 
 namespace {
+
+#if DART_ATTN_SIMD
+/// The vector form of one output row of either lookup stage: out[j] = the
+/// sum over subspaces c < count of tab_c[row_code[c * row_step] * k +
+/// codes[c * code_step + j]] for j < len, where tab_c = tab + c * k * k.
+/// Summed in c order, as the scalar passes do ("c = 0 sets, c >= 1 adds"),
+/// with one masked gather per subspace and chunk of 16 outputs.
+inline void gather_row(const float* tab, std::size_t k, const std::uint32_t* row_code,
+                       std::size_t row_step, const std::uint32_t* codes, std::size_t code_step,
+                       std::size_t count, std::size_t len, float* out) {
+  std::size_t j = 0;
+  for (; j + 8 < len; j += 16) {
+    const auto m =
+        len - j >= 16 ? __mmask16(0xFFFF) : static_cast<__mmask16>((1u << (len - j)) - 1u);
+    __m512 acc = _mm512_setzero_ps();
+    for (std::size_t c = 0; c < count; ++c) {
+      const float* trow = tab + (c * k + row_code[c * row_step]) * k;
+      const __m512i idx = _mm512_maskz_loadu_epi32(m, codes + c * code_step + j);
+      const __m512 g = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), m, idx, trow, 4);
+      acc = c == 0 ? g : _mm512_add_ps(acc, g);
+    }
+    _mm512_mask_storeu_ps(out + j, m, acc);
+  }
+  if (j < len) {
+    // At most 8 outputs left (a whole score row at T = 8): eight lanes
+    // gather at half the cost of sixteen.
+    const auto m = static_cast<__mmask8>((1u << (len - j)) - 1u);
+    __m256 acc = _mm256_setzero_ps();
+    for (std::size_t c = 0; c < count; ++c) {
+      const float* trow = tab + (c * k + row_code[c * row_step]) * k;
+      const __m256i idx = _mm256_maskz_loadu_epi32(m, codes + c * code_step + j);
+      const __m256 g = _mm256_mmask_i32gather_ps(_mm256_setzero_ps(), m, idx, trow, 4);
+      acc = c == 0 ? g : _mm256_add_ps(acc, g);
+    }
+    _mm256_mask_storeu_ps(out + j, m, acc);
+  }
+}
+#endif
 
 /// Slices subspace `c` (width `sub`) out of [M, D] rows.
 nn::Tensor slice_subspace(const nn::Tensor& rows, std::size_t c, std::size_t sub) {
@@ -215,6 +260,12 @@ void AttentionKernel::query_batch_into(const float* q, std::size_t q_stride, con
   float* scores = ws.floats(rows * t_len_);
   for (std::size_t s = 0; s < n; ++s) {
     float* sbase = scores + s * t_len_ * t_len_;
+#if DART_ATTN_SIMD
+    for (std::size_t t1 = 0; t1 < t_len_; ++t1) {
+      gather_row(qk_table_.data(), kp, qc + s * t_len_ + t1, rows, kc + s * t_len_, rows, ck,
+                 t_len_, sbase + t1 * t_len_);
+    }
+#else
     for (std::size_t c = 0; c < ck; ++c) {
       const float* tab = qk_table_.data() + c * kp * kp;
       const std::uint32_t* qcc = qc + c * rows + s * t_len_;
@@ -229,6 +280,7 @@ void AttentionKernel::query_batch_into(const float* q, std::size_t q_stride, con
         }
       }
     }
+#endif
   }
   if (config_.activation == AttentionActivation::kSoftmaxAtQuery) {
     const float scale = 1.0f / std::sqrt(static_cast<float>(dk_));
@@ -272,6 +324,12 @@ void AttentionKernel::query_batch_into(const float* q, std::size_t q_stride, con
   // ---- Final lookups + aggregation (Eq. 15), per sample ------------------
   for (std::size_t s = 0; s < n; ++s) {
     float* obase = out + s * t_len_ * out_stride;
+#if DART_ATTN_SIMD
+    for (std::size_t t = 0; t < t_len_; ++t) {
+      gather_row(qkv_table_.data(), kp, sc + s * t_len_ + t, rows, vc + s * dk_, vrows, ct, dk_,
+                 obase + t * out_stride);
+    }
+#else
     for (std::size_t c = 0; c < ct; ++c) {
       const float* tab = qkv_table_.data() + c * kp * kp;
       const std::uint32_t* scc = sc + c * rows + s * t_len_;
@@ -286,6 +344,7 @@ void AttentionKernel::query_batch_into(const float* q, std::size_t q_stride, con
         }
       }
     }
+#endif
   }
   ws.rewind(m);
 }

@@ -7,6 +7,13 @@
 #include "common/thread_pool.hpp"
 #include "pq/kmeans.hpp"
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#define DART_AGG_SIMD 1
+#else
+#define DART_AGG_SIMD 0
+#endif
+
 namespace dart::tabular {
 
 LinearKernel::LinearKernel(const nn::Tensor& weight, const nn::Tensor& bias,
@@ -134,11 +141,26 @@ void LinearKernel::query_into(const float* rows, std::size_t n, std::size_t row_
     // Subspace 0 initializes (bias is folded there), the rest accumulate:
     // C contiguous row-adds of length DO.
     const float* t0 = tbl + codes[i] * out_dim_;
+#if DART_AGG_SIMD
+    // The same sums in registers: per chunk of 16 columns, subspace 0's
+    // row plus the later subspaces in c order, stored once.
+    for (std::size_t o = 0; o < out_dim_; o += 16) {
+      const auto mask = out_dim_ - o >= 16 ? __mmask16(0xFFFF)
+                                           : static_cast<__mmask16>((1u << (out_dim_ - o)) - 1u);
+      __m512 acc = _mm512_maskz_loadu_ps(mask, t0 + o);
+      for (std::size_t c = 1; c < c_count; ++c) {
+        const float* tc = tbl + (c * k + codes[c * n + i]) * out_dim_;
+        acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(mask, tc + o));
+      }
+      _mm512_mask_storeu_ps(orow + o, mask, acc);
+    }
+#else
     std::copy(t0, t0 + out_dim_, orow);
     for (std::size_t c = 1; c < c_count; ++c) {
       const float* tc = tbl + (c * k + codes[c * n + i]) * out_dim_;
       for (std::size_t o = 0; o < out_dim_; ++o) orow[o] += tc[o];
     }
+#endif
   }
   ws.rewind(m);
 }

@@ -31,64 +31,130 @@ nn::Tensor LnParams::apply(const nn::Tensor& x) const {
   return y;
 }
 
+#if DART_LN_SIMD
+namespace {
+
+// The zero-masking forms below, with a full mask, are the same
+// instructions; they spare GCC 12 a false -Wmaybe-uninitialized.
+
+/// Floats j..j+3 of four rows, row r's in 128-bit block r.
+inline __m512 load_blocks(const float* const* r, std::size_t j) {
+  __m512 v = _mm512_maskz_broadcast_f32x4(0xFFFF, _mm_loadu_ps(r[0] + j));
+  v = _mm512_insertf32x4(v, _mm_loadu_ps(r[1] + j), 1);
+  v = _mm512_insertf32x4(v, _mm_loadu_ps(r[2] + j), 2);
+  return _mm512_insertf32x4(v, _mm_loadu_ps(r[3] + j), 3);
+}
+
+/// Float j of four rows, row r's in lane r.
+inline __m128 load_lanes(const float* const* r, std::size_t j) {
+  return _mm_setr_ps(r[0][j], r[1][j], r[2][j], r[3][j]);
+}
+
+/// Lane r: (l0+l1)+(l2+l3) of the lanes l0..l3 of 128-bit block r.
+inline __m128 block_sums(__m512 s) {
+  const __m512 pairs =
+      _mm512_add_ps(s, _mm512_maskz_permute_ps(0xFFFF, s, _MM_SHUFFLE(2, 3, 0, 1)));
+  const __m512 sums =
+      _mm512_add_ps(pairs, _mm512_maskz_permute_ps(0xFFFF, pairs, _MM_SHUFFLE(1, 0, 3, 2)));
+  const __m512i firsts = _mm512_setr_epi32(0, 4, 8, 12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0);
+  return _mm512_maskz_extractf32x4_ps(0xF, _mm512_maskz_permutexvar_ps(0xFFFF, firsts, sums), 0);
+}
+
+/// Block r: four copies of lane r of `v`.
+inline __m512 spread_lanes(__m128 v) {
+  const __m512i lanes = _mm512_setr_epi32(0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3);
+  return _mm512_maskz_permutexvar_ps(0xFFFF, lanes, _mm512_maskz_broadcast_f32x4(0xFFFF, v));
+}
+
+}  // namespace
+#endif
+
 void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
   const std::size_t d = gamma.numel();
   const float* g = gamma.data();
   const float* b = beta.data();
+#if DART_LN_SIMD
+  // The scalar loop below in vector form, bit for bit with what a Release
+  // build (GCC, -O3 -march=native) makes of it (DESIGN.md §6), four rows
+  // per zmm: block r holds row r's four accumulators, summed in the same j
+  // order and reduced as (s0+s1)+(s2+s3); lane r of an xmm then carries row
+  // r's scalar tail, division and square root. The compiler vectorizes each
+  // run of 32 floats of the `v += d*d` loop with the products rounded on
+  // their own, and contracts the iterations after the last full run, the
+  // tail and `t*g + b` into FMAs (-ffp-contract=fast is GCC's default).
+  // Two zmm per step keep two dependency chains in flight; a short last
+  // step repeats its last row and stores real rows only.
+  constexpr std::size_t kRows = 8;
+  const std::size_t runs_end = d / 32 * 32;
+  const __m128 width = _mm_set1_ps(static_cast<float>(d));
+  for (std::size_t i0 = 0; i0 < m; i0 += kRows) {
+    const std::size_t c = std::min(kRows, m - i0);
+    const float* rows[kRows];
+    for (std::size_t r = 0; r < kRows; ++r) rows[r] = x + (i0 + std::min(r, c - 1)) * d;
+    __m512 s4[2] = {_mm512_setzero_ps(), _mm512_setzero_ps()};
+    std::size_t j = 0;
+    for (; j + 4 <= d; j += 4) {
+      for (int h = 0; h < 2; ++h) s4[h] = _mm512_add_ps(s4[h], load_blocks(rows + 4 * h, j));
+    }
+    __m128 mean[2], inv[2];
+    __m512 mean4[2], v4[2];
+    for (int h = 0; h < 2; ++h) {
+      mean[h] = block_sums(s4[h]);
+      for (std::size_t jj = j; jj < d; ++jj) {
+        mean[h] = _mm_add_ps(mean[h], load_lanes(rows + 4 * h, jj));
+      }
+      mean[h] = _mm_div_ps(mean[h], width);
+      mean4[h] = spread_lanes(mean[h]);
+      v4[h] = _mm512_setzero_ps();
+    }
+    for (j = 0; j < runs_end; j += 4) {
+      for (int h = 0; h < 2; ++h) {
+        const __m512 dv = _mm512_sub_ps(load_blocks(rows + 4 * h, j), mean4[h]);
+        __m512 sq = _mm512_mul_ps(dv, dv);
+        asm("" : "+v"(sq));  // keeps the compiler from fusing this product
+        v4[h] = _mm512_add_ps(v4[h], sq);
+      }
+    }
+    for (; j + 4 <= d; j += 4) {
+      for (int h = 0; h < 2; ++h) {
+        const __m512 dv = _mm512_sub_ps(load_blocks(rows + 4 * h, j), mean4[h]);
+        v4[h] = _mm512_fmadd_ps(dv, dv, v4[h]);
+      }
+    }
+    for (int h = 0; h < 2; ++h) {
+      __m128 var = block_sums(v4[h]);
+      for (std::size_t jj = j; jj < d; ++jj) {
+        const __m128 diff = _mm_sub_ps(load_lanes(rows + 4 * h, jj), mean[h]);
+        var = _mm_fmadd_ps(diff, diff, var);
+      }
+      var = _mm_div_ps(var, width);
+      inv[h] = _mm_div_ps(_mm_set1_ps(1.0f), _mm_sqrt_ps(_mm_add_ps(var, _mm_set1_ps(eps))));
+    }
+    alignas(16) float row_mean[kRows], row_inv[kRows];
+    for (int h = 0; h < 2; ++h) {
+      _mm_store_ps(row_mean + 4 * h, mean[h]);
+      _mm_store_ps(row_inv + 4 * h, inv[h]);
+    }
+    for (std::size_t r = 0; r < c; ++r) {
+      const float* row = rows[r];
+      float* yrow = y + (i0 + r) * d;
+      const __m512 mean16 = _mm512_set1_ps(row_mean[r]);
+      const __m512 inv16 = _mm512_set1_ps(row_inv[r]);
+      for (std::size_t jj = 0; jj < d; jj += 16) {
+        const __mmask16 k =
+            d - jj >= 16 ? __mmask16(0xFFFF) : static_cast<__mmask16>((1u << (d - jj)) - 1u);
+        const __m512 t =
+            _mm512_mul_ps(_mm512_sub_ps(_mm512_maskz_loadu_ps(k, row + jj), mean16), inv16);
+        _mm512_mask_storeu_ps(yrow + jj, k,
+                              _mm512_fmadd_ps(t, _mm512_maskz_loadu_ps(k, g + jj),
+                                              _mm512_maskz_loadu_ps(k, b + jj)));
+      }
+    }
+  }
+#else
   for (std::size_t i = 0; i < m; ++i) {
     const float* row = x + i * d;
     float* yrow = y + i * d;
-#if DART_LN_SIMD
-    // The scalar loop below in vector form, bit for bit with what a Release
-    // build (GCC, -O3 -march=native) makes of it (DESIGN.md §6). Its four
-    // accumulators are the lanes of one __m128, summed in the same j order
-    // and reduced as (s0+s1)+(s2+s3). The compiler vectorizes each run of 32
-    // floats of the `v += d*d` loop with the products rounded on their own,
-    // and contracts the iterations after the last full run, the tail and
-    // `t*g + b` into FMAs (-ffp-contract=fast is GCC's default).
-    auto lane_sum = [](__m128 s) {
-      alignas(16) float l[4];
-      _mm_store_ps(l, s);
-      return (l[0] + l[1]) + (l[2] + l[3]);
-    };
-    __m128 s4 = _mm_setzero_ps();
-    std::size_t j = 0;
-    for (; j + 4 <= d; j += 4) s4 = _mm_add_ps(s4, _mm_loadu_ps(row + j));
-    float mean = lane_sum(s4);
-    for (; j < d; ++j) mean += row[j];
-    mean /= static_cast<float>(d);
-    const __m128 mean4 = _mm_set1_ps(mean);
-    __m128 v4 = _mm_setzero_ps();
-    const std::size_t runs_end = d / 32 * 32;
-    for (j = 0; j < runs_end; j += 4) {
-      const __m128 dv = _mm_sub_ps(_mm_loadu_ps(row + j), mean4);
-      __m128 sq = _mm_mul_ps(dv, dv);
-      asm("" : "+x"(sq));  // keeps the compiler from fusing this product
-      v4 = _mm_add_ps(v4, sq);
-    }
-    for (; j + 4 <= d; j += 4) {
-      const __m128 dv = _mm_sub_ps(_mm_loadu_ps(row + j), mean4);
-      v4 = _mm_fmadd_ps(dv, dv, v4);
-    }
-    float var = lane_sum(v4);
-    for (; j < d; ++j) {
-      const float diff = row[j] - mean;
-      var = std::fma(diff, diff, var);
-    }
-    var /= static_cast<float>(d);
-    const float inv = 1.0f / std::sqrt(var + eps);
-    const __m512 mean16 = _mm512_set1_ps(mean);
-    const __m512 inv16 = _mm512_set1_ps(inv);
-    for (std::size_t jj = 0; jj < d; jj += 16) {
-      const __mmask16 k =
-          d - jj >= 16 ? __mmask16(0xFFFF) : static_cast<__mmask16>((1u << (d - jj)) - 1u);
-      const __m512 t =
-          _mm512_mul_ps(_mm512_sub_ps(_mm512_maskz_loadu_ps(k, row + jj), mean16), inv16);
-      _mm512_mask_storeu_ps(yrow + jj, k,
-                            _mm512_fmadd_ps(t, _mm512_maskz_loadu_ps(k, g + jj),
-                                            _mm512_maskz_loadu_ps(k, b + jj)));
-    }
-#else
     // 4-lane reductions: strict-FP serial sums chain at add latency; four
     // independent accumulators pipeline (and match what a vectorized sum
     // would compute, deterministically).
@@ -123,8 +189,8 @@ void LnParams::apply_into(const float* x, float* y, std::size_t m) const {
     for (std::size_t jj = 0; jj < d; ++jj) {
       yrow[jj] = (row[jj] - mean) * inv * g[jj] + b[jj];
     }
-#endif
   }
+#endif
 }
 
 TabularArch TabularPredictor::tabular_arch(std::size_t samples) const {
@@ -258,7 +324,8 @@ nn::Tensor TabularPredictor::forward(const nn::Tensor& addr, const nn::Tensor& p
   const std::size_t sp = pc.dim(2);
   nn::Tensor out({b_sz, arch_.out_dim});
   if (b_sz == 0) return out;
-  const std::size_t nb = common::plan_blocks(b_sz, 1);
+  // The grain is one sub-block, so a batch of 16 or fewer never forks.
+  const std::size_t nb = common::plan_blocks(b_sz, kMaxBlockSamples);
   const TabularArch ta = tabular_arch((b_sz + nb - 1) / nb);
   // The single top-level batch split (DESIGN.md §6): every kernel invoked
   // below this fork is serial, so the pool is never oversubscribed by
@@ -268,7 +335,7 @@ nn::Tensor TabularPredictor::forward(const nn::Tensor& addr, const nn::Tensor& p
     ws.ensure(ta);
     forward_block_into(addr.data() + b0 * t_len * sa, pc.data() + b0 * t_len * sp, b1 - b0,
                        out.row(b0), ws);
-  }, 1);
+  }, kMaxBlockSamples);
   return out;
 }
 

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -63,6 +64,14 @@ TEST(ThreadPool, FirstOfManyExceptionsWins) {
   EXPECT_THROW(pool.wait_idle(), std::runtime_error);
   pool.wait_idle();  // no stale exception left behind
   SUCCEED();
+}
+
+TEST(ThreadPool, RefusesMoreThanMaxThreadsBeforeStartingAny) {
+  // Throwing from the constructor's first line means no worker started:
+  // a started std::thread that is never joined would terminate the test.
+  for (const std::size_t count : {kMaxThreads + 1, std::numeric_limits<std::size_t>::max()}) {
+    EXPECT_THROW(ThreadPool pool(count), InputError) << count;
+  }
 }
 
 TEST(ParallelForEach, BodyExceptionPropagatesToCaller) {

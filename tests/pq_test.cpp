@@ -152,7 +152,7 @@ TEST_P(HashTreeBatch, MatchesPerRowEncode) {
   const std::size_t stride = v + 3;  // rows of a wider matrix
   const std::size_t code_stride = 3;
   constexpr std::uint32_t kUntouched = 0xDEADBEEFu;
-  for (const std::size_t n : {1, 7, 8, 9, 16, 40}) {
+  for (const std::size_t n : {1, 7, 8, 9, 16, 17, 40, 256}) {
     const std::vector<float> rows = edge_rows(built, n, v, stride, 100 + n);
     for (const HashTreeEncoder* enc : {&built, &reloaded}) {
       for (const std::size_t cs : {std::size_t{1}, code_stride}) {

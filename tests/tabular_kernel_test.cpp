@@ -346,28 +346,31 @@ void contracted_layernorm(const LnParams& ln, const float* x, float* y, std::siz
 }
 
 TEST(LnParams, ApplyIntoIsBitIdenticalToScalar) {
-  const std::size_t m = 9;
   std::size_t scalar_mismatches = 0;  // widths where got != the verbatim loop
   bool release_contraction = true;    // the verbatim loop compiled as in Release
-  for (std::size_t d : {32, 36, 64, 30}) {  // 30 leaves a 2-wide tail
-    LnParams ln;
-    ln.gamma = nn::Tensor::randn({d}, 1.0f, 40 + d);
-    ln.beta = nn::Tensor::randn({d}, 1.0f, 50 + d);
-    nn::Tensor x = nn::Tensor::randn({m, d}, 3.0f, 60 + d);
-    for (std::size_t j = 0; j < d; ++j) x.at(1, j) += 1000.0f;  // cancellation-prone row
-    const std::size_t bytes = m * d * sizeof(float);
-    std::vector<float> got(m * d), scalar(m * d);
-    ln.apply_into(x.data(), got.data(), m);
-    reference_layernorm(ln, x.data(), scalar.data(), m);
-    if (std::memcmp(got.data(), scalar.data(), bytes) != 0) ++scalar_mismatches;
+  // AVX-512 builds normalize four rows per zmm, two zmm per step: m = 1, 9
+  // and 17 end in a one-row step, and m = 4 fills exactly one zmm.
+  for (const std::size_t m : {1, 4, 9, 17}) {
+    for (std::size_t d : {32, 36, 64, 30}) {  // 30 leaves a 2-wide tail
+      LnParams ln;
+      ln.gamma = nn::Tensor::randn({d}, 1.0f, 40 + d);
+      ln.beta = nn::Tensor::randn({d}, 1.0f, 50 + d);
+      nn::Tensor x = nn::Tensor::randn({m, d}, 3.0f, 60 + d + m);
+      for (std::size_t j = 0; j < d; ++j) x.at(m / 2, j) += 1000.0f;  // cancellation-prone row
+      const std::size_t bytes = m * d * sizeof(float);
+      std::vector<float> got(m * d), scalar(m * d);
+      ln.apply_into(x.data(), got.data(), m);
+      reference_layernorm(ln, x.data(), scalar.data(), m);
+      if (std::memcmp(got.data(), scalar.data(), bytes) != 0) ++scalar_mismatches;
 #if defined(__AVX512F__) && defined(__FMA__)
-    std::vector<float> contracted(m * d);
-    contracted_layernorm(ln, x.data(), contracted.data(), m);
-    EXPECT_EQ(std::memcmp(got.data(), contracted.data(), bytes), 0) << "d=" << d;
-    if (std::memcmp(scalar.data(), contracted.data(), bytes) != 0) release_contraction = false;
+      std::vector<float> contracted(m * d);
+      contracted_layernorm(ln, x.data(), contracted.data(), m);
+      EXPECT_EQ(std::memcmp(got.data(), contracted.data(), bytes), 0) << "m=" << m << " d=" << d;
+      if (std::memcmp(scalar.data(), contracted.data(), bytes) != 0) release_contraction = false;
 #endif
-    ln.apply_into(x.data(), x.data(), m);  // in place, as the predictor calls it
-    EXPECT_EQ(std::memcmp(x.data(), got.data(), bytes), 0) << "d=" << d;
+      ln.apply_into(x.data(), x.data(), m);  // in place, as the predictor calls it
+      EXPECT_EQ(std::memcmp(x.data(), got.data(), bytes), 0) << "m=" << m << " d=" << d;
+    }
   }
   // The vector path equals the scalar loop as a Release build compiles it;
   // -O1/-O2 and sanitizer builds contract that loop differently.

@@ -1,13 +1,15 @@
 // Golden equivalence tests for the zero-allocation tabular inference engine:
 // a deliberately naive reference implementation (scalar per-row encodes,
 // per-output gather aggregation over the exposed [C][K][DO] table) must match
-// the optimized batch path bit-for-bit practically (<= 1e-6), across both the
-// exact and hash-tree encoders, for the linear kernel, the attention kernel,
-// and a seeded end-to-end TabularPredictor::forward.
+// the optimized batch path, across both the exact and hash-tree encoders, for
+// the linear kernel and the attention kernel (exactly, at the shapes the
+// vector paths run) and a seeded end-to-end TabularPredictor::forward
+// (within 1e-6).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/configs.hpp"
@@ -163,20 +165,27 @@ nn::Tensor naive_forward_sample(const TabularPredictor& tab, const nn::Tensor& a
 class LinearKernelGolden : public ::testing::TestWithParam<pq::EncoderKind> {};
 
 TEST_P(LinearKernelGolden, OptimizedMatchesNaiveReference) {
-  const std::size_t di = 16, dout = 24, n = 200;
-  nn::Tensor w = nn::Tensor::randn({dout, di}, 0.8f, 101);
-  nn::Tensor b = nn::Tensor::randn({dout}, 0.5f, 102);
-  nn::Tensor train = nn::Tensor::randn({256, di}, 1.0f, 103);
-  KernelConfig cfg;
-  cfg.num_prototypes = 32;
-  cfg.num_subspaces = 4;
-  cfg.encoder = GetParam();
-  LinearKernel kernel(w, b, train, cfg);
-  nn::Tensor probe = nn::Tensor::randn({n, di}, 1.1f, 104);
-  nn::Tensor fast = kernel.query(probe);
-  nn::Tensor ref = naive_linear_query(kernel, probe);
-  for (std::size_t i = 0; i < fast.numel(); ++i) {
-    EXPECT_NEAR(fast[i], ref[i], 1e-6f) << "mismatch at flat index " << i;
+  // DO = 24 ends in a masked 8-column tail on AVX-512 builds; C = 1 stores
+  // subspace 0's row as is. The reference starts its sums at 0.0f, so a -0
+  // table entry reads +0 there; == treats the two as equal.
+  const std::size_t di = 16, n = 200;
+  for (const std::size_t dout : {24, 32}) {
+    for (const std::size_t c_count : {1, 2, 4}) {
+      nn::Tensor w = nn::Tensor::randn({dout, di}, 0.8f, 101);
+      nn::Tensor b = nn::Tensor::randn({dout}, 0.5f, 102);
+      nn::Tensor train = nn::Tensor::randn({256, di}, 1.0f, 103);
+      KernelConfig cfg;
+      cfg.num_prototypes = 32;
+      cfg.num_subspaces = c_count;
+      cfg.encoder = GetParam();
+      LinearKernel kernel(w, b, train, cfg);
+      nn::Tensor probe = nn::Tensor::randn({n, di}, 1.1f, 104);
+      nn::Tensor fast = kernel.query(probe);
+      nn::Tensor ref = naive_linear_query(kernel, probe);
+      for (std::size_t i = 0; i < fast.numel(); ++i) {
+        ASSERT_EQ(fast[i], ref[i]) << "DO=" << dout << " C=" << c_count << " flat index " << i;
+      }
+    }
   }
 }
 
@@ -226,6 +235,45 @@ TEST_P(AttentionKernelGolden, OptimizedMatchesNaiveReference) {
     nn::Tensor ref = naive_attention_query(kernel, qs, ks, vs);
     for (std::size_t i = 0; i < fast.numel(); ++i) {
       EXPECT_NEAR(fast[i], ref[i], 1e-6f) << "sample " << s << " flat index " << i;
+    }
+  }
+}
+
+TEST_P(AttentionKernelGolden, BatchIsBitExactAtVectorShapes) {
+  // The paper student's head, T=8 and Dk=16 at K=128: score rows gather 8
+  // lanes and output rows 16 on AVX-512 builds. T=12, Dk=24 also runs a
+  // 12-lane masked chunk and a 16 + 8 split. n = 17 runs a 16-row encoder
+  // group plus a short one.
+  const std::size_t n_train = 256;
+  for (const auto [t, dk] : {std::pair<std::size_t, std::size_t>{8, 16}, {12, 24}}) {
+    nn::Tensor q = nn::Tensor::randn({n_train, t, dk}, 0.9f, 141);
+    nn::Tensor k = nn::Tensor::randn({n_train, t, dk}, 0.9f, 142);
+    nn::Tensor v = nn::Tensor::randn({n_train, t, dk}, 0.9f, 143);
+    AttentionKernelConfig cfg;
+    cfg.num_prototypes = 128;
+    cfg.ck = 2;
+    cfg.ct = 2;
+    cfg.kmeans_iters = 4;
+    cfg.encoder = GetParam();
+    AttentionKernel kernel(q, k, v, cfg);
+    InferenceWorkspace ws;
+    for (const std::size_t n : {1, 16, 17}) {
+      nn::Tensor pq = nn::Tensor::randn({n, t, dk}, 1.0f, 150 + n);
+      nn::Tensor pk = nn::Tensor::randn({n, t, dk}, 1.0f, 160 + n);
+      nn::Tensor pv = nn::Tensor::randn({n, t, dk}, 1.0f, 170 + n);
+      std::vector<float> fast(n * t * dk);
+      kernel.query_batch_into(pq.data(), dk, pk.data(), dk, pv.data(), dk, n, fast.data(), dk, ws);
+      for (std::size_t s = 0; s < n; ++s) {
+        nn::Tensor qs({t, dk}), ks({t, dk}), vs({t, dk});
+        std::copy(pq.data() + s * t * dk, pq.data() + (s + 1) * t * dk, qs.data());
+        std::copy(pk.data() + s * t * dk, pk.data() + (s + 1) * t * dk, ks.data());
+        std::copy(pv.data() + s * t * dk, pv.data() + (s + 1) * t * dk, vs.data());
+        nn::Tensor ref = naive_attention_query(kernel, qs, ks, vs);
+        for (std::size_t i = 0; i < ref.numel(); ++i) {
+          ASSERT_EQ(fast[s * t * dk + i], ref[i])
+              << "T=" << t << " Dk=" << dk << " n=" << n << " sample " << s << " index " << i;
+        }
+      }
     }
   }
 }
