@@ -8,17 +8,10 @@
 // of the repo-root bench_batch_inference.json:
 //
 //   {"queries": N, "scalar_queries_per_sec": S,
-//    "batched": [{"batch": B, "queries_per_sec": Q, "speedup_vs_scalar": X}, ...],
-//    "quantized": [{"mode": "int16", "quantized_table_bytes": T,
-//                   "batched": [{"batch": B, "queries_per_sec": Q,
-//                                "speedup_vs_float": X}, ...]}, ...]}
+//    "batched": [{"batch": B, "queries_per_sec": Q, "speedup_vs_scalar": X}, ...]}
 //
-// The quantized series (DESIGN.md §10) reruns the batched sweep with the
-// linear-kernel tables served int16 then int8 on an otherwise identical
-// predictor (same seed), so speedup_vs_float isolates the aggregation-path
-// change. Knobs: DART_BENCH_QUERIES (default 4096), DART_BENCH_REPS and
-// --json <path> (default bench_batch_inference.json in the working
-// directory).
+// Knobs: DART_BENCH_QUERIES (default 4096), DART_BENCH_REPS and --json
+// <path> (default bench_batch_inference.json in the working directory).
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -131,36 +124,6 @@ int main(int argc, char** argv) {
   }
   bench::emit(t, "bench_batch_inference.csv");
 
-  // Quantized series: identical predictor (same builder, same seed) with
-  // the linear tables served through the integer aggregation path.
-  struct QuantSeries {
-    tabular::QuantMode mode;
-    std::size_t payload_bytes;
-    std::vector<std::pair<std::size_t, double>> results;
-  };
-  std::vector<QuantSeries> quant_series;
-  for (tabular::QuantMode mode : {tabular::QuantMode::kInt16, tabular::QuantMode::kInt8}) {
-    tabular::TabularPredictor qtab = bench::synthetic_predictor(arch);
-    qtab.set_quant_mode(mode);
-    QuantSeries series;
-    series.mode = mode;
-    series.payload_bytes = qtab.quantized_bytes();
-    run_batched(qtab, addr, pc, std::min<std::size_t>(queries, 256), 16);  // warm-up
-    common::TablePrinter qt(std::string("Quantized batched inference, ") +
-                            tabular::quant_mode_name(mode) + " (queries/sec)");
-    qt.set_header({"batch", "queries/sec", "speedup vs float"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const std::size_t b = results[i].first;
-      const double qps = best_of([&] { return run_batched(qtab, addr, pc, queries, b); });
-      series.results.emplace_back(b, qps);
-      qt.add_row({std::to_string(b), common::TablePrinter::fmt(qps, 0),
-                  common::TablePrinter::fmt(qps / results[i].second, 2) + "x"});
-    }
-    bench::emit(qt, std::string("bench_batch_inference_") +
-                        tabular::quant_mode_name(mode) + ".csv");
-    quant_series.push_back(std::move(series));
-  }
-
   FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -172,20 +135,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    {\"batch\": %zu, \"queries_per_sec\": %.0f, \"speedup_vs_scalar\": %g}%s\n",
                  results[i].first, results[i].second, results[i].second / scalar_qps,
                  i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"quantized\": [\n");
-  for (std::size_t s = 0; s < quant_series.size(); ++s) {
-    const QuantSeries& series = quant_series[s];
-    std::fprintf(f, "    {\"mode\": \"%s\", \"quantized_table_bytes\": %zu, \"batched\": [\n",
-                 tabular::quant_mode_name(series.mode), series.payload_bytes);
-    for (std::size_t i = 0; i < series.results.size(); ++i) {
-      std::fprintf(
-          f, "      {\"batch\": %zu, \"queries_per_sec\": %.0f, \"speedup_vs_float\": %g}%s\n",
-          series.results[i].first, series.results[i].second,
-          series.results[i].second / results[i].second,
-          i + 1 < series.results.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]}%s\n", s + 1 < quant_series.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -108,18 +108,13 @@ TrainedDart train_dart(Pipeline& pipe, const sim::DartModelRequest& request) {
 }
 
 std::optional<sim::DartModel> try_load_dart_artifact(const std::string& path,
-                                                     const std::string& expected_config_key,
-                                                     tabular::QuantMode quant) {
+                                                     const std::string& expected_config_key) {
   if (path.empty() || !std::filesystem::exists(path)) return std::nullopt;
   try {
     io::ArtifactInfo info;
     auto predictor =
         std::make_shared<tabular::TabularPredictor>(io::load_predictor_artifact(path, &info));
     if (info.meta.config_key != expected_config_key) return std::nullopt;  // stale
-    if (quant != tabular::QuantMode::kOff && quant != predictor->quant_mode()) {
-      // Safe: the predictor is not shared with any query thread yet.
-      predictor->set_quant_mode(quant);
-    }
     sim::DartModel model;
     model.predictor = std::move(predictor);
     model.latency_cycles = static_cast<std::size_t>(info.meta.latency_cycles);
@@ -134,18 +129,12 @@ std::optional<sim::DartModel> try_load_dart_artifact(const std::string& path,
 
 namespace {
 
-/// Shared tail of the loud reload paths: quantize before sharing, then wrap
-/// the predictor as a sim::DartModel.
+/// Shared tail of the loud reload paths: wraps the predictor as a
+/// sim::DartModel.
 sim::DartModel finish_loud_load(tabular::TabularPredictor&& loaded, const io::ArtifactInfo& local,
-                                io::ArtifactInfo* info, tabular::QuantMode quant) {
+                                io::ArtifactInfo* info) {
   sim::DartModel model;
-  auto predictor = std::make_shared<tabular::TabularPredictor>(std::move(loaded));
-  if (quant != tabular::QuantMode::kOff && quant != predictor->quant_mode()) {
-    // Quantize before the predictor escapes this function: serving layers
-    // publish epochs already-quantized (set_quant_mode is not query-safe).
-    predictor->set_quant_mode(quant);
-  }
-  model.predictor = std::move(predictor);
+  model.predictor = std::make_shared<tabular::TabularPredictor>(std::move(loaded));
   model.latency_cycles = static_cast<std::size_t>(local.meta.latency_cycles);
   if (!local.meta.display_name.empty()) model.display_name = local.meta.display_name;
   if (info != nullptr) *info = local;
@@ -154,17 +143,16 @@ sim::DartModel finish_loud_load(tabular::TabularPredictor&& loaded, const io::Ar
 
 }  // namespace
 
-sim::DartModel load_dart_artifact(const std::string& path, io::ArtifactInfo* info,
-                                  tabular::QuantMode quant) {
+sim::DartModel load_dart_artifact(const std::string& path, io::ArtifactInfo* info) {
   io::ArtifactInfo local;
-  return finish_loud_load(io::load_predictor_artifact(path, &local), local, info, quant);
+  return finish_loud_load(io::load_predictor_artifact(path, &local), local, info);
 }
 
 sim::DartModel load_dart_artifact_bytes(std::vector<std::uint8_t> bytes, const std::string& name,
-                                        io::ArtifactInfo* info, tabular::QuantMode quant) {
+                                        io::ArtifactInfo* info) {
   io::ArtifactInfo local;
   return finish_loud_load(io::load_predictor_artifact_bytes(std::move(bytes), name, &local),
-                          local, info, quant);
+                          local, info);
 }
 
 bool save_dart_artifact(const std::string& path, const trace::Workload& workload,

@@ -57,12 +57,9 @@ TrainedDart train_dart(Pipeline& pipe, const sim::DartModelRequest& request);
 /// Loads `path` as a ready-to-serve sim::DartModel when the file exists and
 /// embeds exactly `expected_config_key`. Returns nullopt when missing or
 /// stale; a corrupted/unreadable file is reported to stderr and also
-/// returns nullopt (the caller retrains and overwrites). A non-kOff `quant`
-/// re-quantizes the loaded tables (DESIGN.md §10) before the predictor is
-/// shared; kOff serves the artifact as stored.
-std::optional<sim::DartModel> try_load_dart_artifact(
-    const std::string& path, const std::string& expected_config_key,
-    tabular::QuantMode quant = tabular::QuantMode::kOff);
+/// returns nullopt (the caller retrains and overwrites).
+std::optional<sim::DartModel> try_load_dart_artifact(const std::string& path,
+                                                     const std::string& expected_config_key);
 
 /// The serving reload path (DESIGN.md §9): loads `path` with NO config-key
 /// staleness check — hot-swap accepts any valid artifact of compatible
@@ -70,21 +67,15 @@ std::optional<sim::DartModel> try_load_dart_artifact(
 /// geometry compatibility itself. Unlike try_load_dart_artifact this is
 /// loud: it throws io::ArtifactError on missing/corrupted/version-mismatched
 /// files, because a failed swap must surface to the operator, never be
-/// silently skipped. Optionally fills `info` with the parsed header. A
-/// non-kOff `quant` re-quantizes the loaded tables before the predictor is
-/// shared (epochs are published already-quantized, so serving threads never
-/// observe a mode switch); kOff serves the artifact as stored — including
-/// any quantized QNTT chunk it carries.
-sim::DartModel load_dart_artifact(const std::string& path, io::ArtifactInfo* info = nullptr,
-                                  tabular::QuantMode quant = tabular::QuantMode::kOff);
+/// silently skipped. Optionally fills `info` with the parsed header.
+sim::DartModel load_dart_artifact(const std::string& path, io::ArtifactInfo* info = nullptr);
 
 /// load_dart_artifact over an in-memory byte image (`name` labels errors).
 /// The validate-then-publish swap path (serve::PrefetchServer::swap_artifact,
 /// DESIGN.md §11) reads the file once, optionally lets the fault injector
 /// damage the image, and parses it fully before any epoch is published.
 sim::DartModel load_dart_artifact_bytes(std::vector<std::uint8_t> bytes, const std::string& name,
-                                        io::ArtifactInfo* info = nullptr,
-                                        tabular::QuantMode quant = tabular::QuantMode::kOff);
+                                        io::ArtifactInfo* info = nullptr);
 
 /// Persists a trained model at `path` (creating parent directories).
 /// Best-effort: returns false and warns on I/O failure — a read-only cache

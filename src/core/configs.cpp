@@ -4,10 +4,6 @@
 
 namespace dart::core {
 
-tabular::QuantMode quant_mode_from_env() {
-  return tabular::parse_quant_mode(common::env_string("DART_QUANT", "off"));
-}
-
 trace::PreprocessOptions default_preprocess() {
   trace::PreprocessOptions p;
   p.history = 8;

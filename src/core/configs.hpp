@@ -7,16 +7,9 @@
 
 #include "nn/transformer.hpp"
 #include "tabular/complexity.hpp"
-#include "tabular/quant.hpp"
 #include "trace/preprocess.hpp"
 
 namespace dart::core {
-
-/// Resolves the process-wide DART_QUANT knob ("off" | "int16" | "int8",
-/// default off): the table-quantization mode (DESIGN.md §10) consumers use
-/// when a spec/config does not request one explicitly. Throws
-/// std::invalid_argument on an unrecognized value so typos fail loudly.
-tabular::QuantMode quant_mode_from_env();
 
 /// Shared data-pipeline geometry: T=8 history, 8 address/PC segments of 6
 /// bits, 128-wide delta bitmap, 8-access look-forward window.

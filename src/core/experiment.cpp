@@ -20,7 +20,6 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/artifact_cache.hpp"
-#include "core/configs.hpp"
 #include "core/result_store.hpp"
 #include "tabular/complexity.hpp"
 
@@ -64,26 +63,22 @@ void build_context(AppState& state, const ExperimentSpec& spec) {
   // producing-configuration hash so stale files retrain), then training.
   state.ctx.dart_model = [s, popts](const sim::DartModelRequest& request) {
     std::lock_guard lock(s->mu);
-    // The quant mode joins the in-memory key (distinct served tables) but
-    // NOT the artifact config key: artifacts stay float and are shared
-    // across modes, with quantization applied after load.
     std::ostringstream key;
     key << normalize_dart_variant(request.variant) << '/' << request.table_k << '/'
-        << request.table_c << '/' << tabular::quant_mode_name(request.quant);
+        << request.table_c;
     auto it = s->dart_cache.find(key.str());
     if (it != s->dart_cache.end()) return it->second;
 
     std::string path;
     if (!popts.artifact_dir.empty()) {
       path = dart_artifact_path(popts.artifact_dir, s->workload, popts, request);
-      if (auto loaded = try_load_dart_artifact(
-              path, dart_config_key(s->workload, popts, request), request.quant)) {
+      if (auto loaded =
+              try_load_dart_artifact(path, dart_config_key(s->workload, popts, request))) {
         return s->dart_cache.emplace(key.str(), std::move(*loaded)).first->second;
       }
     }
     TrainedDart trained = train_dart(s->pipe, request);
     if (!path.empty()) save_dart_artifact(path, s->workload, trained, "experiment_runner");
-    trained.predictor.set_quant_mode(request.quant);
     sim::DartModel model;
     model.latency_cycles = trained.latency_cycles;
     model.display_name = trained.display_name;
@@ -387,13 +382,12 @@ ExperimentResult ExperimentRunner::run() {
   if (!sweep.store_dir.empty()) store = std::make_unique<ResultStore>(sweep.store_dir);
 
   // Cell identity: the pipeline configuration hash, the NN trigger
-  // sampling, the DART_QUANT default the `dart` specs inherit, and the
-  // simulator's SimStats-semantics generation — a cell is only reused when
-  // it would provably reproduce the stored numbers.
+  // sampling, and the simulator's SimStats-semantics generation — a cell is
+  // only reused when it would provably reproduce the stored numbers.
   auto config_of = [&](const trace::Workload& w) {
     std::ostringstream os;
-    os << pipeline_cache_key(w, spec_.pipeline) << "/nn" << spec_.nn_trigger_sample << "/q"
-       << tabular::quant_mode_name(quant_mode_from_env()) << "/e" << sim::kEngineGeneration;
+    os << pipeline_cache_key(w, spec_.pipeline) << "/nn" << spec_.nn_trigger_sample << "/e"
+       << sim::kEngineGeneration;
     return os.str();
   };
 

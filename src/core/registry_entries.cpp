@@ -2,10 +2,14 @@
 // (TransFetch-like attention, Voyager-like LSTM, plus their zero-latency
 // "-I" ideals) and the DART tabular variants. All trained artifacts come
 // from the PrefetcherContext, so these factories work under any harness
-// that can lend models — ExperimentRunner, tests, or custom drivers.
+// that can lend models — ExperimentRunner, tests, or custom drivers. Each
+// factory reads every parameter before it asks the context for a model:
+// PrefetcherRegistry::validate's dry run stops it there.
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
+#include "common/text.hpp"
 #include "core/configs.hpp"
 #include "io/artifact.hpp"
 #include "prefetch/nn_prefetchers.hpp"
@@ -36,11 +40,11 @@ void require(bool present, const PrefetcherSpec& spec, const char* provider) {
   }
 }
 
-/// `quant=off|int16|int8` on the DART specs: an explicit value wins, an
-/// absent key falls back to the process-wide DART_QUANT knob.
-tabular::QuantMode quant_param(PrefetcherSpec& spec) {
-  const std::string value = spec.get_string("quant", "");
-  return value.empty() ? core::quant_mode_from_env() : tabular::parse_quant_mode(value);
+/// `latency=` when the spec sets it. Read with the other parameters, before
+/// the model whose latency is the default exists.
+std::optional<std::size_t> latency_param(PrefetcherSpec& spec) {
+  if (!spec.has("latency")) return std::nullopt;
+  return spec.get_uint("latency", 0);
 }
 
 }  // namespace
@@ -72,10 +76,10 @@ void register_model_backed_prefetchers(PrefetcherRegistry& registry) {
     request.variant = spec.get_string("variant", "default");
     request.table_k = spec.get_uint("tables", 0);
     request.table_c = spec.get_uint("codebooks", 0);
-    request.quant = quant_param(spec);
-    const DartModel model = context.dart_model(request);
     prefetch::NnAdapterOptions o = adapter_options(spec, context, /*default_sample=*/1);
-    o.latency = spec.get_uint("latency", model.latency_cycles);
+    const std::optional<std::size_t> latency = latency_param(spec);
+    const DartModel model = context.dart_model(request);
+    o.latency = latency.value_or(model.latency_cycles);
     return std::make_unique<prefetch::DartPrefetcher>(model.predictor, o, model.display_name);
   });
   registry.add_alias("dart-s", "dart", {{"variant", "s"}});
@@ -89,21 +93,16 @@ void register_model_backed_prefetchers(PrefetcherRegistry& registry) {
   registry.add("dart-artifact", [](PrefetcherSpec& spec, PrefetcherContext& context) {
     const std::string file = spec.get_string("file", "");
     if (file.empty()) {
-      throw std::invalid_argument("prefetcher spec '" + spec.text() +
-                                  "' needs file=<path to .dart artifact>");
-    }
-    io::ArtifactInfo info;
-    auto predictor =
-        std::make_shared<tabular::TabularPredictor>(io::load_predictor_artifact(file, &info));
-    // quant=off keeps whatever the artifact stored (a QNTT chunk attaches
-    // verbatim); an explicit mode or DART_QUANT re-quantizes on load.
-    const tabular::QuantMode quant = quant_param(spec);
-    if (quant != tabular::QuantMode::kOff && quant != predictor->quant_mode()) {
-      predictor->set_quant_mode(quant);
+      throw common::InputError("prefetcher spec '" + spec.text() +
+                               "' needs file=<path to .dart artifact>");
     }
     prefetch::NnAdapterOptions o = adapter_options(spec, context, /*default_sample=*/1);
+    const std::optional<std::size_t> latency = latency_param(spec);
+    io::ArtifactInfo info;
+    auto predictor = std::make_shared<const tabular::TabularPredictor>(
+        io::load_predictor_artifact(file, &info));
     o.prep = info.meta.prep;
-    o.latency = spec.get_uint("latency", static_cast<std::size_t>(info.meta.latency_cycles));
+    o.latency = latency.value_or(static_cast<std::size_t>(info.meta.latency_cycles));
     const std::string name =
         info.meta.display_name.empty() ? "DART(artifact)" : info.meta.display_name;
     return std::make_unique<prefetch::DartPrefetcher>(std::move(predictor), o, name);

@@ -68,9 +68,9 @@ struct StoreRecovery {
 
 /// Identity hash of one sweep cell: chained FNV-1a over the length-prefixed
 /// workload spec, prefetcher spec, and configuration key (which folds in
-/// the pipeline cache key, nn trigger sampling, the quant mode and the
-/// engine generation). Two cells collide only when they would provably
-/// produce the same result.
+/// the pipeline cache key, nn trigger sampling and the engine
+/// generation). Two cells collide only when they would provably produce the
+/// same result.
 std::uint64_t sweep_cell_key(const std::string& workload, const std::string& prefetcher,
                              const std::string& config);
 

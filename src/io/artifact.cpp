@@ -22,7 +22,6 @@ constexpr char kTagMeta[5] = "META";
 constexpr char kTagArch[5] = "ARCH";
 constexpr char kTagPredictor[5] = "TPRD";
 constexpr char kTagFused[5] = "FUSD";
-constexpr char kTagQuant[5] = "QNTT";
 constexpr char kTagChecksum[5] = "CSUM";
 
 constexpr std::uint8_t kEncoderExact = 0;
@@ -495,99 +494,6 @@ tabular::TabularPredictor get_predictor(ByteReader& r, const nn::ModelConfig& ar
   return p;
 }
 
-// ------------------------------------------ quantized-table serializers
-// The QNTT chunk (DESIGN.md §10) is OPTIONAL: readers predating it skip the
-// unknown tag and serve the bit-exact float tables, and float-only
-// artifacts simply never carry it. It stores only the row-layout payloads
-// (q16/q8) plus scales/offsets — the vpshufb lut8 relayout is deterministic
-// and rebuilt by attach_quantized on load.
-
-tabular::QuantMode decode_quant_mode(std::uint8_t v) {
-  if (v != static_cast<std::uint8_t>(tabular::QuantMode::kInt16) &&
-      v != static_cast<std::uint8_t>(tabular::QuantMode::kInt8)) {
-    throw ArtifactError("unknown quantization mode tag " + std::to_string(v));
-  }
-  return static_cast<tabular::QuantMode>(v);
-}
-
-void put_quant_table(ByteWriter& w, const tabular::QuantizedTable& qt) {
-  w.u8(static_cast<std::uint8_t>(qt.mode));
-  w.u64(qt.c);
-  w.u64(qt.k);
-  w.u64(qt.out_dim);
-  w.f32s(qt.scales.data(), qt.scales.size());
-  w.f32s(qt.offsets.data(), qt.offsets.size());
-  if (qt.mode == tabular::QuantMode::kInt16) {
-    w.i16s(qt.q16.data(), qt.q16.size());
-  } else {
-    w.i8s(qt.q8.data(), qt.q8.size());
-  }
-}
-
-tabular::QuantizedTable get_quant_table(ByteReader& r, tabular::QuantMode chunk_mode) {
-  tabular::QuantizedTable qt;
-  qt.mode = decode_quant_mode(r.u8());
-  if (qt.mode != chunk_mode) throw ArtifactError("quantized chunk mixes modes");
-  qt.c = r.u64();
-  qt.k = r.u64();
-  qt.out_dim = r.u64();
-  qt.scales = r.f32s();
-  qt.offsets = r.f32s();
-  if (qt.mode == tabular::QuantMode::kInt16) {
-    qt.q16 = r.i16s();
-  } else {
-    qt.q8 = r.i8s();
-  }
-  return qt;
-}
-
-// Canonical kernel order shared by the QNTT writer and loader: addr, pc,
-// per layer [qkv, out_proj, ffn_hidden, ffn_out], head.
-template <typename Fn>
-void for_each_linear(const tabular::TabularPredictor& p, Fn&& fn) {
-  fn(p.addr_kernel);
-  fn(p.pc_kernel);
-  for (const auto& layer : p.layers) {
-    fn(layer.qkv);
-    fn(layer.out_proj);
-    fn(layer.ffn_hidden);
-    fn(layer.ffn_out);
-  }
-  fn(p.head_kernel);
-}
-
-void put_predictor_quant(ByteWriter& w, const tabular::TabularPredictor& p) {
-  w.u8(static_cast<std::uint8_t>(p.quant_mode()));
-  std::uint64_t count = 0;
-  for_each_linear(p, [&count](const auto& k) {
-    if (k) ++count;
-  });
-  w.u64(count);
-  for_each_linear(p, [&w](const auto& k) {
-    if (k) put_quant_table(w, k->quantized());
-  });
-}
-
-void attach_predictor_quant(ByteReader& r, tabular::TabularPredictor& p) {
-  const tabular::QuantMode mode = decode_quant_mode(r.u8());
-  const std::uint64_t count = r.u64();
-  std::uint64_t expected = 0;
-  for_each_linear(p, [&expected](const auto& k) {
-    if (k) ++expected;
-  });
-  if (count != expected) {
-    throw ArtifactError("quantized chunk kernel count does not match the predictor");
-  }
-  // attach_quantized cross-validates each payload against the kernel's
-  // <C, K, DO> and throws std::invalid_argument (wrapped into
-  // ArtifactError by with_clean_errors) on mismatch.
-  for_each_linear(p, [&r, mode](const std::unique_ptr<tabular::LinearKernel>& k) {
-    if (k) k->attach_quantized(get_quant_table(r, mode));
-  });
-  if (!r.done()) throw ArtifactError("trailing bytes in quantized chunk");
-  p.adopt_quant_mode(mode);
-}
-
 void put_meta(ByteWriter& w, const ArtifactMeta& meta) {
   w.str(meta.producer);
   w.str(meta.app);
@@ -655,10 +561,6 @@ ArtifactInfo info_from_container(const ChunkReader& container) {
     info.arch =
         in_chunk(container, kTagArch, [](ByteReader& r) { return get_model_config(r); });
   }
-  if (container.has(kTagQuant)) {
-    info.quant =
-        in_chunk(container, kTagQuant, [](ByteReader& r) { return decode_quant_mode(r.u8()); });
-  }
   return info;
 }
 
@@ -703,9 +605,6 @@ std::uint64_t save_predictor_artifact(const std::string& path,
     put_meta(out.chunk(kTagMeta), meta);
     put_model_config(out.chunk(kTagArch), predictor.arch());
     put_predictor(out.chunk(kTagPredictor), predictor);
-    if (predictor.quant_mode() != tabular::QuantMode::kOff) {
-      put_predictor_quant(out.chunk(kTagQuant), predictor);
-    }
     return out.write(path);
   });
 }
@@ -721,12 +620,6 @@ tabular::TabularPredictor load_predictor_artifact_bytes(std::vector<std::uint8_t
         in_chunk(container, kTagArch, [](ByteReader& r) { return get_model_config(r); });
     tabular::TabularPredictor predictor = in_chunk(
         container, kTagPredictor, [&](ByteReader& r) { return get_predictor(r, arch); });
-    if (container.has(kTagQuant)) {
-      in_chunk(container, kTagQuant, [&](ByteReader& r) {
-        attach_predictor_quant(r, predictor);
-        return 0;
-      });
-    }
     if (info) *info = info_from_container(container);
     return predictor;
   });
@@ -734,16 +627,6 @@ tabular::TabularPredictor load_predictor_artifact_bytes(std::vector<std::uint8_t
 
 tabular::TabularPredictor load_predictor_artifact(const std::string& path, ArtifactInfo* info) {
   return load_predictor_artifact_bytes(read_file(path), path, info);
-}
-
-tabular::TabularPredictor clone_predictor(const tabular::TabularPredictor& predictor) {
-  // The predictor is deliberately non-copyable; the codec round trip is the
-  // sanctioned clone and is bit-exact by the artifact contract (DESIGN.md
-  // §7). Quantized mirrors are not cloned — callers pick the clone's mode.
-  ByteWriter w;
-  put_predictor(w, predictor);
-  ByteReader r(w.bytes().data(), w.size());
-  return get_predictor(r, predictor.arch());
 }
 
 ArtifactInfo read_artifact_info(const std::string& path) {
@@ -776,14 +659,6 @@ std::uint64_t save_fused_artifact(const std::string& path, const tabular::Linear
     w.u64(kernel.out_dim());
     w.f32s(kernel.table().data(), kernel.table().size());
     put_encoder(w, kernel.encoder(0));
-    // The fused quantized mirror travels in its own QNTT chunk: extending
-    // the FUSD payload would break old readers, which check r.done().
-    if (kernel.quant_mode() != tabular::QuantMode::kOff) {
-      ByteWriter& q = out.chunk(kTagQuant);
-      q.u8(static_cast<std::uint8_t>(kernel.quant_mode()));
-      q.u64(1);
-      put_quant_table(q, kernel.quantized());
-    }
     return out.write(path);
   });
 }
@@ -811,15 +686,6 @@ tabular::LinearKernel load_fused_artifact(const std::string& path, ArtifactInfo*
     tabular::LinearKernel kernel = tabular::LinearKernel::from_parts(
         config, in_dim, out_dim, std::vector<float>(table.data(), table.data() + table.numel()),
         std::move(encoders));
-    if (container.has(kTagQuant)) {
-      ByteReader q = container.require(kTagQuant);
-      const tabular::QuantMode mode = decode_quant_mode(q.u8());
-      if (q.u64() != 1) {
-        throw ArtifactError("fused quantized chunk must hold exactly one table");
-      }
-      kernel.attach_quantized(get_quant_table(q, mode));
-      if (!q.done()) throw ArtifactError("trailing bytes in quantized chunk");
-    }
     if (info) *info = info_from_container(container);
     return kernel;
   });

@@ -58,9 +58,6 @@ struct ArtifactInfo {
   /// FNV-1a 64 over the whole file body (the CSUM value): a content hash
   /// usable as a cache/identity key for the trained model.
   std::uint64_t content_hash = 0;
-  /// Quantization mode of the stored QNTT chunk (DESIGN.md §10); kOff when
-  /// the artifact carries only exact float tables.
-  tabular::QuantMode quant = tabular::QuantMode::kOff;
   ArtifactMeta meta;
   nn::ModelConfig arch;
 };
@@ -92,12 +89,6 @@ std::vector<std::uint8_t> read_artifact_file(const std::string& path);
 tabular::TabularPredictor load_predictor_artifact_bytes(std::vector<std::uint8_t> bytes,
                                                         const std::string& name,
                                                         ArtifactInfo* info = nullptr);
-
-/// Clones a predictor through the artifact codec's in-memory round trip —
-/// the sanctioned copy of the deliberately non-copyable TabularPredictor,
-/// bit-exact by the artifact contract. The clone carries float tables only
-/// (quant mode kOff); callers re-quantize as needed.
-tabular::TabularPredictor clone_predictor(const tabular::TabularPredictor& predictor);
 
 /// Reads only the header + META/ARCH chunks (still checksum-verified).
 /// Throws ArtifactError on any container-level problem.

@@ -65,22 +65,6 @@ void ByteWriter::i32s(const std::int32_t* data, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) u32(static_cast<std::uint32_t>(data[i]));
 }
 
-void ByteWriter::i16s(const std::int16_t* data, std::size_t n) {
-  u64(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto v = static_cast<std::uint16_t>(data[i]);
-    bytes_.push_back(static_cast<std::uint8_t>(v));
-    bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-}
-
-void ByteWriter::i8s(const std::int8_t* data, std::size_t n) {
-  u64(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bytes_.push_back(static_cast<std::uint8_t>(data[i]));
-  }
-}
-
 void ByteWriter::tensor(const nn::Tensor& t) {
   u32(static_cast<std::uint32_t>(t.ndim()));
   for (std::size_t i = 0; i < t.ndim(); ++i) u64(t.dim(i));
@@ -167,32 +151,6 @@ std::vector<std::int32_t> ByteReader::i32s() {
                         " exceeds the remaining payload");
   std::vector<std::int32_t> out(n);
   for (std::uint64_t i = 0; i < n; ++i) out[i] = static_cast<std::int32_t>(u32());
-  return out;
-}
-
-std::vector<std::int16_t> ByteReader::i16s() {
-  const std::uint64_t n = u64();
-  if (n > remaining() / 2) throw ArtifactError("artifact int16 array of " + std::to_string(n) +
-                        " elements at byte offset " + std::to_string(pos_) +
-                        " exceeds the remaining payload");
-  std::vector<std::int16_t> out(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    need(2);
-    std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                      static_cast<std::uint16_t>(static_cast<std::uint16_t>(data_[pos_ + 1]) << 8);
-    pos_ += 2;
-    out[i] = static_cast<std::int16_t>(v);
-  }
-  return out;
-}
-
-std::vector<std::int8_t> ByteReader::i8s() {
-  const std::uint64_t n = u64();
-  if (n > remaining()) throw ArtifactError("artifact int8 array of " + std::to_string(n) +
-                        " elements at byte offset " + std::to_string(pos_) +
-                        " exceeds the remaining payload");
-  std::vector<std::int8_t> out(n);
-  for (std::uint64_t i = 0; i < n; ++i) out[i] = static_cast<std::int8_t>(data_[pos_++]);
   return out;
 }
 

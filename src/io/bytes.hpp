@@ -61,12 +61,6 @@ class ByteWriter {
   /// Appends a u64 count prefix followed by `n` int32 values (two's
   /// complement bit patterns).
   void i32s(const std::int32_t* data, std::size_t n);
-  /// Appends a u64 count prefix followed by `n` int16 values (two's
-  /// complement bit patterns, little-endian). Used by the QNTT chunk.
-  void i16s(const std::int16_t* data, std::size_t n);
-  /// Appends a u64 count prefix followed by `n` int8 values (two's
-  /// complement bit patterns). Used by the QNTT chunk.
-  void i8s(const std::int8_t* data, std::size_t n);
   /// Appends a tensor: u32 ndim, u64 extents, then the float payload.
   void tensor(const nn::Tensor& t);
 
@@ -104,10 +98,6 @@ class ByteReader {
   std::vector<std::uint32_t> u32s();
   /// Reads a count-prefixed int32 array.
   std::vector<std::int32_t> i32s();
-  /// Reads a count-prefixed int16 array.
-  std::vector<std::int16_t> i16s();
-  /// Reads a count-prefixed int8 array.
-  std::vector<std::int8_t> i8s();
   /// Reads a tensor (u32 ndim, u64 extents, float payload); validates that
   /// the extent product matches the payload count.
   nn::Tensor tensor();

@@ -7,7 +7,6 @@
 #include "common/fault.hpp"
 #include "common/text.hpp"
 #include "core/artifact_cache.hpp"
-#include "core/configs.hpp"
 #include "io/artifact.hpp"
 
 namespace dart::serve {
@@ -61,7 +60,6 @@ ServeConfig ServeConfig::from_env() {
   c.watermark_hi = knob("DART_SERVE_WATERMARK_HI", "watermark_hi", c.watermark_hi);
   c.watermark_lo = knob("DART_SERVE_WATERMARK_LO", "watermark_lo", c.watermark_lo);
   c.watchdog_ms = knob("DART_SERVE_WATCHDOG_MS", "watchdog_ms", c.watchdog_ms);
-  c.quant = core::quant_mode_from_env();
   return c;
 }
 
@@ -78,9 +76,7 @@ PrefetchServer::PrefetchServer(std::shared_ptr<const tabular::TabularPredictor> 
   if (config_.watermark_hi != 0 && config_.watermark_lo == 0) {
     config_.watermark_lo = config_.watermark_hi / 2;
   }
-  auto degraded = make_degraded_twin(model);
-  model_ = ModelEpoch{std::move(model), std::move(degraded),
-                      epoch_.load(std::memory_order_relaxed)};
+  model_ = ModelEpoch{std::move(model), epoch_.load(std::memory_order_relaxed)};
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<ShardEngine>(i, config_, current_model(), epoch_,
@@ -92,7 +88,7 @@ PrefetchServer::PrefetchServer(std::shared_ptr<const tabular::TabularPredictor> 
 }
 
 PrefetchServer::PrefetchServer(const std::string& path, const ServeConfig& config)
-    : PrefetchServer(core::load_dart_artifact(path, nullptr, config.quant).predictor, config) {}
+    : PrefetchServer(core::load_dart_artifact(path).predictor, config) {}
 
 PrefetchServer::~PrefetchServer() { stop(); }
 
@@ -105,31 +101,13 @@ std::unique_ptr<ClientSession> PrefetchServer::connect(std::size_t completion_ca
       new ClientSession(*this, shard, completion_capacity, ids_));
 }
 
-std::shared_ptr<const tabular::TabularPredictor> PrefetchServer::make_degraded_twin(
-    const std::shared_ptr<const tabular::TabularPredictor>& model) const {
-  // Twins exist only for the Degraded state, so overload control must be
-  // armed — and a primary already on the int8 path is its own twin.
-  if (config_.watermark_hi == 0) return nullptr;
-  if (config_.quant == tabular::QuantMode::kInt8) return model;
-  // The predictor is deliberately non-copyable (shards share one immutable
-  // instance); the artifact codec's in-memory round trip is the sanctioned
-  // bit-exact clone. set_quant_mode happens strictly before publication, so
-  // no shard ever observes a mode switch (DESIGN.md §10).
-  auto twin = std::make_shared<tabular::TabularPredictor>(io::clone_predictor(*model));
-  twin->set_quant_mode(tabular::QuantMode::kInt8);
-  return twin;
-}
-
 std::uint64_t PrefetchServer::swap_model(
     std::shared_ptr<const tabular::TabularPredictor> model) {
   if (model == nullptr) throw std::invalid_argument("PrefetchServer: null model");
-  // Built outside the lock: cloning + quantizing the twin is cold-path work
-  // that must not block shards reloading via current_model().
-  auto degraded = make_degraded_twin(model);
   std::lock_guard<std::mutex> lock(model_mu_);
   check_geometry(model_.model->arch(), model->arch());
   const std::uint64_t next = model_.epoch + 1;
-  model_ = ModelEpoch{std::move(model), std::move(degraded), next};
+  model_ = ModelEpoch{std::move(model), next};
   // Publish after the model is in place: a shard seeing the new epoch
   // number takes model_mu_ in current_model() and reads a complete record.
   epoch_.store(next, std::memory_order_release);
@@ -143,12 +121,10 @@ std::uint64_t PrefetchServer::swap_artifact(const std::string& path) {
     try {
       // Validate-then-publish: read the whole image, then parse, checksum
       // and (below, in swap_model) geometry-check it before any shard can
-      // observe the new epoch. The quant mode is applied inside the load,
-      // so shards only ever adopt fully-quantized models.
+      // observe the new epoch.
       std::vector<std::uint8_t> bytes = io::read_artifact_file(path);
       common::fault_injector().mutate_artifact(bytes);
-      predictor =
-          core::load_dart_artifact_bytes(std::move(bytes), path, nullptr, config_.quant).predictor;
+      predictor = core::load_dart_artifact_bytes(std::move(bytes), path).predictor;
     } catch (const io::ArtifactError&) {
       // Quarantine: the previous epoch keeps serving. Transient damage
       // (half-written file mid-copy) deserves a bounded retry with backoff.
@@ -239,8 +215,6 @@ ServeStatsSummary PrefetchServer::stats() const {
     summary.deadline_missed += s.deadline_missed;
     summary.admission_rejected += s.admission_rejected;
     summary.watchdog_restarts += s.watchdog_restarts;
-    summary.degraded_entries += s.degraded_entries;
-    summary.degraded_exits += s.degraded_exits;
     if (s.state != ShardState::kHealthy) summary.all_healthy = false;
     occupancy += s.occupancy_sum;
     merged.merge(shard->stats().latency);

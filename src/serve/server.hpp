@@ -21,7 +21,6 @@
 #include "common/timer.hpp"
 #include "serve/id_generator.hpp"
 #include "serve/shard.hpp"
-#include "tabular/quant.hpp"
 
 namespace dart::serve {
 
@@ -44,9 +43,9 @@ struct ServeConfig {
   /// most common::kMaxTimerSeconds. A request still queued past its
   /// deadline is completed as kShed instead of served (DESIGN.md §11).
   std::uint64_t deadline_us = 0;
-  /// Queue-depth admission watermarks; 0 disables overload control. Above
-  /// `watermark_hi` a shard refuses new submits and, sustained, degrades to
-  /// its int8 twin epoch; it recovers at `watermark_lo` (0 = hi/2).
+  /// Queue-depth admission watermarks; 0 disables overload control. At
+  /// `watermark_hi` a shard refuses new submits; it admits again at
+  /// `watermark_lo` (0 = hi/2).
   std::size_t watermark_hi = 0;
   std::size_t watermark_lo = 0;
   /// Watchdog sweep interval in milliseconds; 0 disables the watchdog, at
@@ -60,17 +59,11 @@ struct ServeConfig {
   /// at `reload_backoff_us`, then rethrown — the old epoch serves on.
   std::size_t reload_retries = 3;
   std::uint64_t reload_backoff_us = 1000;
-  /// Table-quantization mode applied to artifacts loaded by the
-  /// path-taking constructor and swap_artifact (DESIGN.md §10). kOff
-  /// serves artifacts as stored (including any QNTT chunk they carry);
-  /// epochs are always published already-quantized, so shards never
-  /// observe a mode switch mid-serve.
-  tabular::QuantMode quant = tabular::QuantMode::kOff;
 
   /// Defaults overridden by DART_SERVE_SHARDS / DART_SERVE_QUEUE /
   /// DART_SERVE_BATCH / DART_SERVE_PIN / DART_SERVE_DEADLINE_US /
   /// DART_SERVE_WATERMARK_HI / DART_SERVE_WATERMARK_LO /
-  /// DART_SERVE_WATCHDOG_MS / DART_QUANT.
+  /// DART_SERVE_WATCHDOG_MS.
   static ServeConfig from_env();
 };
 
@@ -182,10 +175,6 @@ class PrefetchServer {
   friend class ClientSession;
 
   ModelEpoch current_model() const;
-  /// Builds the int8 twin a Degraded shard serves (null when overload
-  /// control is off; the primary itself when it is already int8).
-  std::shared_ptr<const tabular::TabularPredictor> make_degraded_twin(
-      const std::shared_ptr<const tabular::TabularPredictor>& model) const;
   /// Watchdog sweep loop: heartbeat deltas -> miss budget -> restart.
   void watchdog_loop();
 

@@ -28,11 +28,6 @@ static_assert(
 /// Empty-ring spins before the shard thread parks on its condition variable.
 constexpr int kSpinsBeforePark = 256;
 
-/// Consecutive depth samples at/above the high watermark before the shard
-/// degrades — one spike sheds admission immediately, but switching epochs
-/// is reserved for *sustained* overload (DESIGN.md §11).
-constexpr std::size_t kDegradeSustain = 4;
-
 /// Poll interval while a stalled/abandoning thread waits to be collected.
 constexpr std::chrono::microseconds kStallPoll{50};
 
@@ -132,8 +127,6 @@ bool ShardEngine::try_restart(std::uint64_t grace_us) {
   }
   thread_.join();
   abandon_.store(false, std::memory_order_release);
-  degraded_ = false;  // thread-owned state; safe to reset between threads
-  overload_streak_ = 0;
   stats_.watchdog_restarts.fetch_add(1, std::memory_order_relaxed);
   stats_.state.store(static_cast<std::uint32_t>(ShardState::kHealthy),
                      std::memory_order_relaxed);
@@ -170,7 +163,7 @@ void ShardEngine::maybe_adopt_epoch() {
   stats_.reloads.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ShardEngine::update_overload_state() {
+void ShardEngine::update_admission() {
   if (config_.watermark_hi == 0) return;
   const std::size_t depth = ingress_.size_approx();
   // Admission gate with hysteresis: close at hi, reopen only at lo.
@@ -179,25 +172,6 @@ void ShardEngine::update_overload_state() {
     admit_.store(false, std::memory_order_relaxed);
   } else if (!admitting && depth <= config_.watermark_lo) {
     admit_.store(true, std::memory_order_relaxed);
-  }
-  // Degradation: one spike sheds admission above; switching to the int8
-  // twin takes kDegradeSustain consecutive over-watermark samples.
-  if (depth >= config_.watermark_hi) {
-    ++overload_streak_;
-    if (!degraded_ && overload_streak_ >= kDegradeSustain) {
-      degraded_ = true;
-      stats_.degraded_entries.fetch_add(1, std::memory_order_relaxed);
-      stats_.state.store(static_cast<std::uint32_t>(ShardState::kDegraded),
-                         std::memory_order_relaxed);
-    }
-  } else {
-    overload_streak_ = 0;
-    if (degraded_ && depth <= config_.watermark_lo) {
-      degraded_ = false;
-      stats_.degraded_exits.fetch_add(1, std::memory_order_relaxed);
-      stats_.state.store(static_cast<std::uint32_t>(ShardState::kHealthy),
-                         std::memory_order_relaxed);
-    }
   }
 }
 
@@ -212,7 +186,7 @@ void ShardEngine::run() {
   for (;;) {
     stats_.heartbeat.fetch_add(1, std::memory_order_relaxed);
     if (abandon_.load(std::memory_order_acquire)) break;
-    update_overload_state();
+    update_admission();
     std::size_t n = 0;
     while (n < config_.batch_cap && ingress_.try_pop(batch[n])) ++n;
     if (n == 0) {
@@ -274,11 +248,7 @@ void ShardEngine::run() {
 }
 
 void ShardEngine::serve_batch(Request* batch, std::size_t n) {
-  // Degraded shards serve the epoch's pre-built int8 twin (published by the
-  // server with the epoch; no shared predictor is ever mutated here). A
-  // twin-less epoch serves its primary model.
-  const tabular::TabularPredictor& model =
-      (degraded_ && current_.degraded != nullptr) ? *current_.degraded : *current_.model;
+  const tabular::TabularPredictor& model = *current_.model;
   const nn::ModelConfig& a = model.arch();
   const std::size_t addr_elems = a.seq_len * a.addr_dim;
   const std::size_t pc_elems = a.seq_len * a.pc_dim;

@@ -69,13 +69,9 @@ struct Response {
   Status status = Status::kOk; ///< served vs explicitly shed
 };
 
-/// A model epoch: the immutable predictor plus its version number, and the
-/// optional pre-built int8-quantized twin a Degraded shard serves instead
-/// (same geometry, built by the server before publication — shards never
-/// mutate a shared predictor; DESIGN.md §11).
+/// A model epoch: the immutable predictor plus its version number.
 struct ModelEpoch {
   std::shared_ptr<const tabular::TabularPredictor> model;
-  std::shared_ptr<const tabular::TabularPredictor> degraded;  ///< may be null
   std::uint64_t epoch = 0;
 };
 
@@ -113,7 +109,7 @@ class ShardEngine {
 
   /// Watchdog: clears a Stalled mark back to Healthy (a shard whose
   /// heartbeat resumed on its own, e.g. one that was merely descheduled).
-  /// Leaves Healthy/Degraded untouched.
+  /// Leaves a Healthy shard untouched.
   void clear_stalled();
 
   /// Watchdog: asks the (presumed wedged) shard thread to abandon its loop,
@@ -134,8 +130,8 @@ class ShardEngine {
   /// Adopts the newest model epoch if the server published one.
   void maybe_adopt_epoch();
   /// Samples ingress depth: drives the admission gate (hysteresis between
-  /// the watermarks) and the Healthy <-> Degraded transitions.
-  void update_overload_state();
+  /// the watermarks).
+  void update_admission();
   /// Runs `n` queued requests as one micro-batch and completes them.
   void serve_batch(Request* batch, std::size_t n);
   /// Completes `req` unserved with an explicit kShed response.
@@ -153,8 +149,6 @@ class ShardEngine {
   ModelEpoch current_;
   tabular::InferenceWorkspace workspace_;
   std::vector<float> staging_addr_, staging_pc_, staging_probs_;
-  bool degraded_ = false;          ///< serving the epoch's int8 twin
-  std::size_t overload_streak_ = 0;  ///< consecutive depth samples >= hi
 
   ShardStats stats_;
   std::atomic<bool> admit_{true};  ///< admission gate written by the shard loop

@@ -55,8 +55,6 @@ const char* shard_state_name(ShardState state) {
   switch (state) {
     case ShardState::kHealthy:
       return "healthy";
-    case ShardState::kDegraded:
-      return "degraded";
     case ShardState::kStalled:
       return "stalled";
   }
@@ -78,8 +76,6 @@ ShardStatsSnapshot snapshot(const ShardStats& stats) {
   s.deadline_missed = stats.deadline_missed.load(std::memory_order_relaxed);
   s.admission_rejected = stats.admission_rejected.load(std::memory_order_relaxed);
   s.watchdog_restarts = stats.watchdog_restarts.load(std::memory_order_relaxed);
-  s.degraded_entries = stats.degraded_entries.load(std::memory_order_relaxed);
-  s.degraded_exits = stats.degraded_exits.load(std::memory_order_relaxed);
   s.state = static_cast<ShardState>(stats.state.load(std::memory_order_relaxed));
   s.p50_ns = stats.latency.quantile(0.50);
   s.p99_ns = stats.latency.quantile(0.99);

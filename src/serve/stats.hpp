@@ -50,17 +50,15 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> total_{0};
 };
 
-/// Shard health state machine (DESIGN.md §11). The shard thread moves
-/// between Healthy and Degraded on queue-depth watermarks; the watchdog
-/// moves a shard to Stalled when its heartbeat stops and back to Healthy
-/// after a successful restart (or when the heartbeat resumes on its own).
+/// Shard health state machine (DESIGN.md §11): the watchdog moves a shard
+/// to Stalled when its heartbeat stops and back to Healthy after a
+/// successful restart (or when the heartbeat resumes on its own).
 enum class ShardState : std::uint32_t {
-  kHealthy = 0,   ///< serving the primary epoch, normal batching
-  kDegraded = 1,  ///< sustained overload: serving the epoch's int8 twin
-  kStalled = 2,   ///< watchdog declared the shard thread unresponsive
+  kHealthy = 0,  ///< serving
+  kStalled = 1,  ///< watchdog declared the shard thread unresponsive
 };
 
-/// Human-readable name for a ShardState ("healthy" / "degraded" / "stalled").
+/// Human-readable name for a ShardState ("healthy" / "stalled").
 const char* shard_state_name(ShardState state);
 
 /// Counters one shard maintains while serving (all relaxed atomics, written
@@ -80,8 +78,6 @@ struct ShardStats {
   std::atomic<std::uint64_t> deadline_missed{0}; ///< sheds caused by expired deadlines
   std::atomic<std::uint64_t> admission_rejected{0};  ///< submits refused above the high watermark
   std::atomic<std::uint64_t> watchdog_restarts{0};   ///< shard-thread restarts by the watchdog
-  std::atomic<std::uint64_t> degraded_entries{0};    ///< Healthy -> Degraded transitions
-  std::atomic<std::uint64_t> degraded_exits{0};      ///< Degraded -> Healthy transitions
   std::atomic<std::uint32_t> state{0};           ///< current ShardState
   LatencyHistogram latency;                      ///< enqueue -> completion-push
 };
@@ -101,8 +97,6 @@ struct ShardStatsSnapshot {
   std::uint64_t deadline_missed = 0;
   std::uint64_t admission_rejected = 0;
   std::uint64_t watchdog_restarts = 0;
-  std::uint64_t degraded_entries = 0;
-  std::uint64_t degraded_exits = 0;
   ShardState state = ShardState::kHealthy;
   std::uint64_t p50_ns = 0;
   std::uint64_t p99_ns = 0;
@@ -130,8 +124,6 @@ struct ServeStatsSummary {
   std::uint64_t deadline_missed = 0;   ///< sum over shards
   std::uint64_t admission_rejected = 0;  ///< sum over shards
   std::uint64_t watchdog_restarts = 0;   ///< sum over shards
-  std::uint64_t degraded_entries = 0;    ///< sum over shards
-  std::uint64_t degraded_exits = 0;      ///< sum over shards
   std::uint64_t reload_rejected = 0;     ///< artifact swaps quarantined by the server
   bool all_healthy = true;         ///< every shard currently ShardState::kHealthy
   std::uint64_t p50_ns = 0;        ///< over the merged histogram

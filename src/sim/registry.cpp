@@ -18,6 +18,19 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
+/// Thrown by validate()'s dry-run model providers to stop a model-backed
+/// factory once it has read its parameters.
+struct DryRunStop {};
+
+/// Refuses the keys of `spec` that its factory never read.
+void reject_unused(const PrefetcherSpec& spec) {
+  const std::vector<std::string> unused = spec.unused_keys();
+  if (unused.empty()) return;
+  std::string keys;
+  for (const auto& k : unused) keys += (keys.empty() ? "" : ", ") + k;
+  throw common::InputError("prefetcher spec '" + spec.text() + "': unknown parameter(s): " + keys);
+}
+
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
@@ -181,28 +194,8 @@ std::vector<std::string> PrefetcherRegistry::known_names() const {
   return names;
 }
 
-void PrefetcherRegistry::validate(const std::string& spec_text) const {
-  const PrefetcherSpec spec = PrefetcherSpec::parse(spec_text);
-  if (!contains(spec.name())) {
-    std::string known;
-    for (const auto& n : known_names()) known += (known.empty() ? "" : ", ") + n;
-    // A comma inside the name means a ','-separated list of specs where at
-    // least one carries parameters — only ';' can separate those.
-    const std::string hint = spec.name().find(',') != std::string::npos
-                                 ? " (separate multiple parameterized specs with ';')"
-                                 : "";
-    throw common::InputError("unknown prefetcher '" + spec.name() + "' in spec '" +
-                             spec_text + "'" + hint + "; known: " + known);
-  }
-}
-
-std::unique_ptr<Prefetcher> PrefetcherRegistry::make(const std::string& spec_text,
-                                                     PrefetcherContext& context) const {
-  validate(spec_text);
-  PrefetcherSpec spec = PrefetcherSpec::parse(spec_text);
+PrefetcherFactory PrefetcherRegistry::resolve(PrefetcherSpec& spec) const {
   std::string name = spec.name();
-
-  PrefetcherFactory factory;
   {
     std::lock_guard lock(mu_);
     auto alias = aliases_.find(name);
@@ -211,23 +204,46 @@ std::unique_ptr<Prefetcher> PrefetcherRegistry::make(const std::string& spec_tex
       name = alias->second.target;
     }
     auto it = factories_.find(name);
-    if (it == factories_.end()) {
+    if (it != factories_.end()) return it->second;
+    if (alias != aliases_.end()) {
       throw std::invalid_argument("prefetcher alias '" + spec.name() +
                                   "' targets unregistered '" + name + "'");
     }
-    factory = it->second;
   }
+  std::string known;
+  for (const auto& n : known_names()) known += (known.empty() ? "" : ", ") + n;
+  // A comma inside the name means a ','-separated list of specs where at
+  // least one carries parameters — only ';' can separate those.
+  const std::string hint = spec.name().find(',') != std::string::npos
+                               ? " (separate multiple parameterized specs with ';')"
+                               : "";
+  throw common::InputError("unknown prefetcher '" + spec.name() + "' in spec '" + spec.text() +
+                           "'" + hint + "; known: " + known);
+}
 
+void PrefetcherRegistry::validate(const std::string& spec_text) const {
+  PrefetcherSpec spec = PrefetcherSpec::parse(spec_text);
+  const PrefetcherFactory factory = resolve(spec);
+  spec.get_string("label", "");
+  PrefetcherContext dry;
+  dry.attention_model = []() -> std::shared_ptr<nn::AddressPredictor> { throw DryRunStop{}; };
+  dry.lstm_model = []() -> std::shared_ptr<nn::LstmPredictor> { throw DryRunStop{}; };
+  dry.dart_model = [](const DartModelRequest&) -> DartModel { throw DryRunStop{}; };
+  try {
+    factory(spec, dry);
+  } catch (const DryRunStop&) {
+    // The factory read its parameters and asked for a model: spec is valid.
+  }
+  reject_unused(spec);
+}
+
+std::unique_ptr<Prefetcher> PrefetcherRegistry::make(const std::string& spec_text,
+                                                     PrefetcherContext& context) const {
+  PrefetcherSpec spec = PrefetcherSpec::parse(spec_text);
+  const PrefetcherFactory factory = resolve(spec);
   const std::string label = spec.get_string("label", "");
   std::unique_ptr<Prefetcher> pf = factory(spec, context);
-
-  const std::vector<std::string> unused = spec.unused_keys();
-  if (!unused.empty()) {
-    std::string keys;
-    for (const auto& k : unused) keys += (keys.empty() ? "" : ", ") + k;
-    throw common::InputError("prefetcher spec '" + spec_text +
-                             "': unknown parameter(s): " + keys);
-  }
+  reject_unused(spec);
   if (!label.empty()) pf = std::make_unique<RelabeledPrefetcher>(std::move(pf), label);
   return pf;
 }

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "sim/prefetcher.hpp"
-#include "tabular/quant.hpp"
 #include "trace/preprocess.hpp"
 
 namespace dart::nn {
@@ -98,10 +97,6 @@ struct DartModelRequest {
   std::string variant = "default";  ///< "s" | "default" | "l"
   std::size_t table_k = 0;          ///< 0 = variant default
   std::size_t table_c = 0;          ///< 0 = variant default
-  /// Table-quantization mode to serve under (DESIGN.md §10). Applied after
-  /// training/loading — artifacts are cached float and stay shareable
-  /// across modes.
-  tabular::QuantMode quant = tabular::QuantMode::kOff;
 };
 
 /// A trained tabular predictor plus its analytic cost-model latency.
@@ -163,8 +158,13 @@ class PrefetcherRegistry {
   std::unique_ptr<Prefetcher> make(const std::string& spec_text,
                                    PrefetcherContext& context) const;
 
-  /// Throws common::InputError when `spec_text` is malformed or names an
-  /// unregistered prefetcher. Cheap (does not construct anything).
+  /// Throws common::InputError when `spec_text` is malformed, names an
+  /// unregistered prefetcher, or carries a parameter its factory refuses
+  /// or never reads. Runs the factory on a dry context whose model
+  /// providers stop it before any model is trained or loaded, so a
+  /// model-backed factory must read every parameter before it asks the
+  /// context for a model. A rule-based prefetcher is constructed and
+  /// dropped; `dart-artifact` loads its file.
   void validate(const std::string& spec_text) const;
 
   bool contains(const std::string& name) const;
@@ -176,6 +176,10 @@ class PrefetcherRegistry {
     std::string target;
     std::map<std::string, std::string> implied;
   };
+
+  /// Expands an alias's implied parameters into `spec` and returns the
+  /// factory its name resolves to; common::InputError on an unknown name.
+  PrefetcherFactory resolve(PrefetcherSpec& spec) const;
 
   mutable std::mutex mu_;
   std::map<std::string, PrefetcherFactory> factories_;

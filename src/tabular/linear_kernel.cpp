@@ -128,13 +128,6 @@ void LinearKernel::query_into(const float* rows, std::size_t n, std::size_t row_
   for (std::size_t c = 0; c < c_count; ++c) {
     encoders_[c]->encode_batch(rows + c * sub_dim_, row_stride, n, codes + c * n);
   }
-  if (!quant_.empty()) {
-    // Quantized aggregation (DESIGN.md §10): integer row-adds + one
-    // dequantization affine per output column.
-    aggregate_quantized(quant_, codes, n, out, out_stride);
-    ws.rewind(m);
-    return;
-  }
   const float* tbl = table_.data();
   for (std::size_t i = 0; i < n; ++i) {
     float* orow = out + i * out_stride;
@@ -189,33 +182,5 @@ nn::Tensor LinearKernel::query3d(const nn::Tensor& x) const {
 }
 
 std::size_t LinearKernel::table_bytes() const { return table_.size() * sizeof(float); }
-
-void LinearKernel::quantize(QuantMode mode) {
-  if (mode == QuantMode::kOff) {
-    quant_ = QuantizedTable{};
-    return;
-  }
-  quant_ = quantize_table(table_.data(), config_.num_subspaces, config_.num_prototypes,
-                          out_dim_, mode);
-}
-
-void LinearKernel::attach_quantized(QuantizedTable table) {
-  if (table.empty()) {
-    quant_ = QuantizedTable{};
-    return;
-  }
-  const std::size_t expected =
-      config_.num_subspaces * config_.num_prototypes * out_dim_;
-  const bool payload_ok = table.mode == QuantMode::kInt16
-                              ? (table.q16.size() == expected && table.q8.empty())
-                              : (table.q8.size() == expected && table.q16.empty());
-  if (table.c != config_.num_subspaces || table.k != config_.num_prototypes ||
-      table.out_dim != out_dim_ || table.scales.size() != out_dim_ ||
-      table.offsets.size() != out_dim_ || !payload_ok) {
-    throw std::invalid_argument("LinearKernel::attach_quantized: payload shape mismatch");
-  }
-  rebuild_shuffle_lut(table);
-  quant_ = std::move(table);
-}
 
 }  // namespace dart::tabular

@@ -32,7 +32,6 @@
 
 #include "nn/tensor.hpp"
 #include "pq/encoder.hpp"
-#include "tabular/quant.hpp"
 #include "tabular/workspace.hpp"
 
 namespace dart::tabular {
@@ -49,9 +48,7 @@ struct KernelConfig {
 
 /// A tabularized linear layer (the paper's §V-A): y = Wx + b replaced by
 /// per-subspace prototype encoding plus C row-adds from the precomputed
-/// [C][K][DO] output table. Optionally carries a quantized mirror of the
-/// table (DESIGN.md §10) that `query_into` aggregates instead, trading a
-/// bounded per-column error for 2–4× smaller table traffic.
+/// [C][K][DO] output table.
 class LinearKernel {
  public:
   /// `weight` [DO, DI], `bias` [DO], `training_rows` [M, DI] — the observed
@@ -82,31 +79,9 @@ class LinearKernel {
   /// Zero-allocation hot path: applies the kernel to `n` rows starting at
   /// `rows` (consecutive rows `row_stride` floats apart) and writes row i's
   /// DO outputs at `out + i * out_stride`. Strictly serial — callers own
-  /// all parallelism (DESIGN.md §6) — and allocates only from `ws`. When a
-  /// quantized table is attached (`quantize`/`attach_quantized`), the
-  /// aggregation runs on it within the §10 error budget; otherwise the
-  /// exact float table serves.
+  /// all parallelism (DESIGN.md §6) — and allocates only from `ws`.
   void query_into(const float* rows, std::size_t n, std::size_t row_stride, float* out,
                   std::size_t out_stride, InferenceWorkspace& ws) const;
-
-  /// Builds (or clears, for kOff) the quantized mirror of the output table
-  /// (DESIGN.md §10). Deterministic from the float table, which is kept —
-  /// switching back to kOff restores bit-exact float queries. Not
-  /// thread-safe vs concurrent queries: quantize before sharing.
-  void quantize(QuantMode mode);
-
-  /// Adopts a quantized table verbatim (the `.dart` QNTT-chunk load path —
-  /// bit-exact vs the saving process, no requantization). Validates the
-  /// payload against this kernel's <C, K, DO> and throws
-  /// std::invalid_argument on mismatch. Rebuilds the derived vpshufb LUT.
-  void attach_quantized(QuantizedTable table);
-
-  /// Active quantization mode (kOff when the float table serves).
-  QuantMode quant_mode() const { return quant_.mode; }
-
-  /// The attached quantized table (empty() when mode is kOff); exposed for
-  /// serialization and the golden tolerance tests.
-  const QuantizedTable& quantized() const { return quant_; }
 
   /// Applies the kernel to [T, DI] (or [M, DI]) rows -> [T, DO].
   /// Pure lookups + aggregation; no multiplications with weights.
@@ -152,7 +127,6 @@ class LinearKernel {
   // table_[((c * K) + k) * DO + o] = W_o,c · P_ck (+ b_o when c == 0).
   std::vector<float> table_;
   std::vector<std::unique_ptr<pq::Encoder>> encoders_;  ///< one per subspace
-  QuantizedTable quant_;  ///< optional quantized mirror (empty = float path)
 };
 
 }  // namespace dart::tabular

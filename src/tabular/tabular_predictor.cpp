@@ -362,37 +362,4 @@ std::size_t TabularPredictor::storage_bytes() const {
   return total;
 }
 
-void TabularPredictor::set_quant_mode(QuantMode mode) {
-  auto quantize = [mode](const std::unique_ptr<LinearKernel>& k) {
-    if (k) k->quantize(mode);
-  };
-  quantize(addr_kernel);
-  quantize(pc_kernel);
-  for (const auto& layer : layers) {
-    quantize(layer.qkv);
-    quantize(layer.out_proj);
-    quantize(layer.ffn_hidden);
-    quantize(layer.ffn_out);
-  }
-  quantize(head_kernel);
-  quant_mode_ = mode;
-}
-
-std::size_t TabularPredictor::quantized_bytes() const {
-  std::size_t total = 0;
-  auto add_kernel = [&total](const std::unique_ptr<LinearKernel>& k) {
-    if (k) total += k->quantized().payload_bytes();
-  };
-  add_kernel(addr_kernel);
-  add_kernel(pc_kernel);
-  for (const auto& layer : layers) {
-    add_kernel(layer.qkv);
-    add_kernel(layer.out_proj);
-    add_kernel(layer.ffn_hidden);
-    add_kernel(layer.ffn_out);
-  }
-  add_kernel(head_kernel);
-  return total;
-}
-
 }  // namespace dart::tabular

@@ -97,29 +97,6 @@ class TabularPredictor {
   /// Total table storage in bytes (tables + sigmoid LUT + LN params).
   std::size_t storage_bytes() const;
 
-  /// Quantizes (or, for kOff, restores to exact float) every linear
-  /// kernel's output table (DESIGN.md §10). Attention tables stay float —
-  /// their per-subspace scales would compound across the two lookup stages
-  /// for a small share of the query cost. Deterministic; the float tables
-  /// are kept, so modes can be switched freely. NOT thread-safe vs
-  /// concurrent queries: serving layers must quantize before publishing a
-  /// predictor epoch (serve::ShardEngine relies on this).
-  void set_quant_mode(QuantMode mode);
-
-  /// The mode applied by the last set_quant_mode / artifact load (kOff
-  /// means every kernel serves exact float tables).
-  QuantMode quant_mode() const { return quant_mode_; }
-
-  /// Records `mode` as the active quantization mode WITHOUT touching any
-  /// kernel — the `.dart` loader calls this after attaching the stored
-  /// QNTT payloads verbatim. Everywhere else, use set_quant_mode.
-  void adopt_quant_mode(QuantMode mode) { quant_mode_ = mode; }
-
-  /// Total quantized-payload bytes across all linear kernels (0 when
-  /// kOff) — the storage/traffic counterpart of storage_bytes(), reported
-  /// by the bench JSON.
-  std::size_t quantized_bytes() const;
-
   /// Writes the complete deployment bundle — every kernel table, encoder,
   /// LayerNorm, the sigmoid LUT and the architecture — as a versioned
   /// `.dart` artifact (DESIGN.md §7). Defined in `src/io/artifact.cpp`;
@@ -145,7 +122,6 @@ class TabularPredictor {
 
  private:
   nn::ModelConfig arch_;
-  QuantMode quant_mode_ = QuantMode::kOff;
 };
 
 }  // namespace dart::tabular

@@ -159,6 +159,64 @@ TEST(Artifact, RoundTripsFusedTableBitExact) {
   }
 }
 
+/// Splices a chunk tagged `tag` with an arbitrary payload in before the
+/// CSUM chunk of the artifact at `path` and recomputes the checksum, as a
+/// writer that knows a tag this reader does not would have laid it out.
+void splice_chunk_before_checksum(const std::string& path, const char tag[4]) {
+  std::vector<char> bytes = slurp(path);
+  ASSERT_GE(bytes.size(), 20u);
+  const std::size_t csum_tag = bytes.size() - 20;
+  ASSERT_EQ(std::memcmp(bytes.data() + csum_tag, "CSUM", 4), 0);
+  bytes.resize(csum_tag);
+  io::ByteWriter tail;
+  for (int i = 0; i < 4; ++i) tail.u8(static_cast<std::uint8_t>(tag[i]));
+  const std::uint8_t payload[] = {0x02, 0xDE, 0xAD, 0xBE, 0xEF};  // odd length: needs padding
+  tail.u64(sizeof(payload));
+  for (std::uint8_t b : payload) tail.u8(b);
+  while (tail.size() % 8 != 0) tail.u8(0);
+  bytes.insert(bytes.end(), tail.bytes().begin(), tail.bytes().end());
+  io::ByteWriter csum;
+  for (char c : std::string("CSUM")) csum.u8(static_cast<std::uint8_t>(c));
+  csum.u64(8);
+  csum.u64(io::fnv1a64(bytes.data(), bytes.size()));
+  bytes.insert(bytes.end(), csum.bytes().begin(), csum.bytes().end());
+  spit(path, bytes);
+}
+
+// DESIGN.md §7: readers skip chunk tags they do not know. QNTT, the chunk
+// that carried quantized tables, is one such tag now: artifacts that still
+// carry it load as the float tables they always stored.
+TEST(Artifact, ReadersSkipAnUnknownChunkTag) {
+  const char tag[4] = {'Q', 'N', 'T', 'T'};
+  const std::string path = temp_path("dart_artifact_unknown_tag.dart");
+  const tabular::TabularPredictor original = tiny_predictor(pq::EncoderKind::kHashTree);
+  original.save(path);
+  splice_chunk_before_checksum(path, tag);
+  expect_bit_exact(original, tabular::TabularPredictor::load(path));
+
+  nn::Tensor rows = nn::Tensor::randn({64, 6}, 1.0f, 31);
+  tabular::KernelConfig config;
+  config.num_prototypes = 16;
+  config.num_subspaces = 1;
+  auto stack = [](const nn::Tensor& x) {
+    nn::Tensor y({x.dim(0), 3});
+    for (std::size_t i = 0; i < x.dim(0); ++i) {
+      for (std::size_t j = 0; j < 3; ++j) y.at(i, j) = x.at(i, j) - 0.5f;
+    }
+    return y;
+  };
+  const tabular::LinearKernel fused = tabular::LinearKernel::fused(6, 3, stack, rows, config);
+  io::save_fused_artifact(path, fused);
+  splice_chunk_before_checksum(path, tag);
+  const tabular::LinearKernel reloaded = io::load_fused_artifact(path);
+  nn::Tensor probe = nn::Tensor::randn({32, 6}, 1.0f, 32);
+  nn::Tensor ya = fused.query(probe);
+  nn::Tensor yb = reloaded.query(probe);
+  ASSERT_EQ(ya.numel(), yb.numel());
+  EXPECT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.numel() * sizeof(float)));
+  std::remove(path.c_str());
+}
+
 // Pins the FUSD chunk bytes. The kernel comes from a hand-written table and
 // prototypes (no k-means), so the bytes do not depend on the compiler or
 // -march; the hash is the one the format has had since FUSD was introduced.

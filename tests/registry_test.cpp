@@ -142,6 +142,20 @@ TEST(PrefetcherRegistry, KnowsAllLegacyNames) {
   }
 }
 
+// validate() runs the factory on a dry context: a bad value or an unknown
+// key is refused up front, even on a spec whose model was never trained.
+TEST(PrefetcherRegistry, ValidateRefusesBadParametersWithoutAModel) {
+  const auto& registry = sim::PrefetcherRegistry::instance();
+  for (const char* spec : {"bo:degree=x", "stride:bogus=7", "dart:quant=int8",
+                           "dart-s:latency=-1", "transfetch:bogus=1", "voyager:threshold=abc"}) {
+    EXPECT_THROW(registry.validate(spec), common::InputError) << spec;
+  }
+  for (const char* spec : {"bo:degree=4,label=B", "dart:variant=l,threshold=0.6,latency=80",
+                           "transfetch:ideal", "voyager:sample=4"}) {
+    EXPECT_NO_THROW(registry.validate(spec)) << spec;
+  }
+}
+
 TEST(SplitSpecList, HandlesLegacyAndSpecLists) {
   const auto legacy = sim::split_spec_list("BO,ISB,DART");
   ASSERT_EQ(legacy.size(), 3u);
@@ -224,6 +238,8 @@ TEST(ExperimentRunner, RejectsUnknownSpecBeforeTraining) {
   spec.workloads = {"462.libquantum"};
   spec.prefetchers = {"BO", "nosuch:param=1"};
   EXPECT_THROW(core::ExperimentRunner(spec).run(), std::invalid_argument);
+  spec.prefetchers = {"BO", "dart:quant=int8"};
+  EXPECT_THROW(core::ExperimentRunner(spec).run(), common::InputError);
 }
 
 TEST(ExperimentRunner, SecondRunIntoSameStoreReusesEveryCell) {

@@ -34,8 +34,7 @@
 // sets its offered rate) and `--shards`/`--batch-cap` the serve engine,
 // overriding the corresponding DART_SERVE_* environment
 // knobs; a value past its bound (serve/loadgen.hpp, serve/server.hpp) is
-// rejected before any thread starts. DART_QUANT=int16|int8
-// serves the artifact's linear tables quantized (DESIGN.md §10).
+// rejected before any thread starts.
 // DART_FAULT=<spec> arms the deterministic fault injector for the serve
 // run (DESIGN.md §11), e.g. DART_FAULT="slow-shard:shard=0,us=2000".
 //
@@ -52,7 +51,6 @@
 #include "common/text.hpp"
 #include "common/timer.hpp"
 #include "nn/metrics.hpp"
-#include "core/configs.hpp"
 #include "core/pipeline.hpp"
 #include "io/artifact.hpp"
 #include "prefetch/nn_prefetchers.hpp"
@@ -88,11 +86,6 @@ void print_info(const std::string& path, const io::ArtifactInfo& info,
   std::printf("tables     : K=%zu C=%zu (attention class), %.1f KB total storage\n",
               info.meta.tables.attention.k, info.meta.tables.attention.c,
               predictor.storage_bytes() / 1024.0);
-  if (predictor.quant_mode() != tabular::QuantMode::kOff) {
-    std::printf("quantized  : %s linear tables, %.1f KB payload\n",
-                tabular::quant_mode_name(predictor.quant_mode()),
-                predictor.quantized_bytes() / 1024.0);
-  }
   std::printf("latency    : %llu cycles (Eq. 22 cost model)\n",
               static_cast<unsigned long long>(info.meta.latency_cycles));
   std::printf("config key : %s\n",
@@ -296,15 +289,8 @@ int main(int argc, char** argv) try {
   // The only load in the binary: everything below serves from memory.
   common::Stopwatch load_timer;
   io::ArtifactInfo info;
-  tabular::TabularPredictor loaded = io::load_predictor_artifact(path, &info);
-  // DART_QUANT=int16|int8 re-quantizes the loaded tables (DESIGN.md §10);
-  // unset/off serves the artifact as stored, QNTT chunk included.
-  const tabular::QuantMode quant = core::quant_mode_from_env();
-  if (quant != tabular::QuantMode::kOff && quant != loaded.quant_mode()) {
-    loaded.set_quant_mode(quant);
-  }
-  const auto predictor =
-      std::make_shared<const tabular::TabularPredictor>(std::move(loaded));
+  const auto predictor = std::make_shared<const tabular::TabularPredictor>(
+      io::load_predictor_artifact(path, &info));
   const double load_ms = load_timer.elapsed_ms();
 
   if (info_mode) {
