@@ -1,5 +1,5 @@
-// A training-free synthetic TabularPredictor for throughput benches
-// (bench_batch_inference, bench/e2e): paper-shaped kernels whose tables
+// A training-free synthetic TabularPredictor for throughput measurement
+// (bench/e2e, tests): paper-shaped kernels whose tables
 // are learned from random activations. k-means still runs, so encoders and
 // tables are structurally realistic, but table *contents* do not affect
 // query cost — only the shapes do — which is exactly what a throughput

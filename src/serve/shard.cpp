@@ -64,7 +64,10 @@ void ShardEngine::spawn() {
 bool ShardEngine::submit(const Request& request) {
   // Admission control: above the high watermark the newest work is shed at
   // the door (explicit backpressure) rather than queued past the deadline.
-  if (config_.watermark_hi != 0 && !admit_.load(std::memory_order_relaxed)) {
+  // The depth check bounds the queue between two shard-loop samples; the
+  // loop's gate keeps the hysteresis (closed until depth falls to lo).
+  if (config_.watermark_hi != 0 && (!admit_.load(std::memory_order_relaxed) ||
+                                    ingress_.size_approx() >= config_.watermark_hi)) {
     stats_.admission_rejected.fetch_add(1, std::memory_order_relaxed);
     return false;
   }

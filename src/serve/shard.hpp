@@ -94,8 +94,9 @@ class ShardEngine {
   ShardEngine(const ShardEngine&) = delete;
   ShardEngine& operator=(const ShardEngine&) = delete;
 
-  /// Enqueues a request from any thread; false on backpressure (ring full).
-  /// A parked shard thread is woken.
+  /// Enqueues a request from any thread; false on backpressure (ring full,
+  /// or admission closed or depth at `watermark_hi`). A parked shard thread
+  /// is woken.
   bool submit(const Request& request);
 
   /// Asks the thread to finish draining and exit, then joins it. Callers

@@ -605,6 +605,10 @@ TEST(ServeChaos, SustainedOverloadClosesAdmissionAndReopensAtLowWatermark) {
   EXPECT_EQ(o.bad_probs, 0u) << "every answer must be bit-exact against the float model";
   EXPECT_GT(o.rejected, 0u) << "the closed admission gate never rejected a submit";
   EXPECT_GT(server.stats().admission_rejected, 0u);
+  // One client thread: submit sees every push of its own, so the ingress
+  // depth can never pass the high watermark.
+  EXPECT_LE(server.stats().shards[0].queue_depth_max, config.watermark_hi)
+      << "queue depth overran the high watermark";
 
   // Load gone, faults cleared: the drained queue is below the low
   // watermark, so the gate reopens and the shard serves bit-exact.

@@ -8,19 +8,24 @@
 // sim::Simulator / sim::SimWorkspace. Every SimStats counter must match
 // exactly — not just IPC — across pattern classes, prefetchers, and
 // saturation configs. Any optimization that changes simulated behavior
-// fails here.
+// fails here. A last test pins the Table IX rule-based replay totals
+// (apps, zipfian, YCSB-B under baseline/stride/BO/ISB) to recorded values.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <queue>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
+#include "trace/workloads.hpp"
 
 namespace dart::sim {
 namespace {
@@ -414,6 +419,88 @@ TEST(SimReference, ExtractLlcTraceMatchesReferenceFilter) {
   const trace::MemoryTrace again = extract_llc_trace(raw, cfg, ws);
   EXPECT_EQ(got.size(), extract_llc_trace(raw, cfg).size());
   EXPECT_EQ(got.size(), again.size());
+}
+
+// ------------------------------------------------ Table IX replay pin
+
+/// One pinned series: SimStats summed over the series' traces.
+struct PinnedSeries {
+  const char* name;  ///< "<prefetcher>" for the app pool, "<workload>/<prefetcher>" otherwise
+  SimStats totals;
+};
+
+// Recorded at 400,000 accesses per trace, seed 1, default SimConfig. The
+// reference loop above checks the simulator against its specification;
+// these totals also pin the trace generators and the rule-based
+// prefetchers, which feed both sides of that check.
+constexpr PinnedSeries kTable9Pins[] = {
+    {"baseline", {28400879, 15689767, 1617704, 709523, 908181, 0, 0, 0, 0}},
+    {"stride", {28400879, 13943981, 1856089, 1003514, 543574, 368691, 55781, 309001, 663075}},
+    {"bo", {28400879, 14128879, 2095513, 1353617, 601300, 644918, 180932, 140596, 90134}},
+    {"isb", {28400879, 15375987, 1617884, 725857, 776638, 231943, 28101, 115389, 1400821}},
+    {"zipfian/baseline", {1199998, 1112406, 208687, 92456, 116231, 0, 0, 0, 0}},
+    {"zipfian/stride", {1199998, 1112406, 208687, 92456, 116231, 0, 0, 0, 0}},
+    {"zipfian/bo", {1199998, 1107628, 244967, 138871, 106083, 84777, 12934, 13, 21319}},
+    {"zipfian/isb", {1199998, 1112556, 208692, 92462, 116230, 1277, 48, 0, 166138}},
+    {"ycsb-b/baseline", {1199998, 1079715, 252890, 110409, 142481, 0, 0, 0, 0}},
+    {"ycsb-b/stride", {1199998, 1079715, 252890, 110409, 142481, 0, 0, 0, 0}},
+    {"ycsb-b/bo", {1199998, 1082537, 249286, 105309, 143864, 83002, 2511, 113, 5735}},
+    {"ycsb-b/isb", {1199998, 1079920, 252943, 110371, 142571, 5041, 306, 1, 193098}},
+};
+
+TEST(SimReference, Table9RuleBasedReplayCountersArePinned) {
+  // Fixed inputs: every Table IV app, plus one zipfian and one YCSB-B
+  // synthetic workload, each 400,000 accesses at seed 1.
+  constexpr std::size_t kAccesses = 400000;
+  struct Series {
+    std::string prefix;
+    std::vector<trace::MemoryTrace> traces;
+  };
+  std::vector<Series> series(3);
+  ASSERT_EQ(trace::all_apps().size(), 8u);
+  for (trace::App app : trace::all_apps()) {
+    series[0].traces.push_back(trace::generate(app, kAccesses, 1));
+  }
+  series[1].prefix = "zipfian/";
+  series[1].traces.push_back(
+      trace::Workload::parse("trace:zipfian,footprint=64M,theta=0.99").generate(kAccesses, 1));
+  series[2].prefix = "ycsb-b/";
+  series[2].traces.push_back(
+      trace::Workload::parse("trace:ycsb-b,footprint=64M").generate(kAccesses, 1));
+  std::size_t total_accesses = 0;
+  for (const Series& sr : series) {
+    for (const auto& trace : sr.traces) total_accesses += trace.size();
+  }
+  EXPECT_EQ(total_accesses, 4000000u);
+
+  Simulator simulator{SimConfig{}};
+  std::size_t row = 0;
+  for (const Series& sr : series) {
+    for (const char* spec : {"baseline", "stride", "bo", "isb"}) {
+      ASSERT_LT(row, std::size(kTable9Pins));
+      const PinnedSeries& pin = kTable9Pins[row++];
+      const std::string name = sr.prefix + spec;
+      ASSERT_EQ(name, pin.name);
+      SimStats sum;
+      for (const auto& trace : sr.traces) {
+        // Fresh prefetcher per trace, like an ExperimentRunner cell.
+        std::unique_ptr<Prefetcher> pf;
+        if (std::string_view(spec) != "baseline") pf = make_prefetcher(spec);
+        const SimStats s = simulator.run(trace, pf.get());
+        sum.instructions += s.instructions;
+        sum.cycles += s.cycles;
+        sum.llc_accesses += s.llc_accesses;
+        sum.llc_hits += s.llc_hits;
+        sum.llc_demand_misses += s.llc_demand_misses;
+        sum.pf_issued += s.pf_issued;
+        sum.pf_useful += s.pf_useful;
+        sum.pf_late += s.pf_late;
+        sum.pf_dropped += s.pf_dropped;
+      }
+      expect_identical(pin.totals, sum, name);
+    }
+  }
+  EXPECT_EQ(row, std::size(kTable9Pins));
 }
 
 }  // namespace
