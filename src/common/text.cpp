@@ -1,12 +1,16 @@
 #include "common/text.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
+
+extern char** environ;  // POSIX: the process environment
 
 namespace dart::common {
 
@@ -73,6 +77,26 @@ std::vector<std::string> env_list(const char* name) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
+}
+
+std::vector<std::string> unknown_knobs(const char* const* env) {
+  std::vector<std::string> out;
+  for (; env != nullptr && *env != nullptr; ++env) {
+    const std::string_view entry(*env);
+    if (entry.rfind("DART_", 0) != 0) continue;
+    const std::string_view name = entry.substr(0, entry.find('='));
+    if (!std::binary_search(std::begin(kKnobs), std::end(kKnobs), name)) out.emplace_back(name);
+  }
+  return out;
+}
+
+void warn_unknown_knobs() {
+  const std::vector<std::string> names = unknown_knobs(environ);
+  if (names.empty()) return;
+  std::string list;
+  for (const std::string& name : names) list += (list.empty() ? "" : ", ") + name;
+  std::fprintf(stderr, "warning: no such DART_* knob, ignored: %s (README.md lists the knobs)\n",
+               list.c_str());
 }
 
 std::string csv_quote(const std::string& field) {

@@ -12,6 +12,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dart::common {
@@ -58,6 +59,32 @@ std::string env_string(const char* name, const std::string& fallback);
 
 /// Reads a comma-separated environment list; empty when unset.
 std::vector<std::string> env_list(const char* name);
+
+/// Every DART_* environment knob the code reads, sorted. README.md's knob
+/// table gives each one's default and the binaries that honor it; a knob
+/// added to the code is added here too.
+inline constexpr std::string_view kKnobs[] = {
+    "DART_APPS", "DART_ARTIFACT_DIR", "DART_BENCH_QUERIES", "DART_EPOCHS",
+    "DART_FAULT", "DART_FULL_SWEEP", "DART_PAPER_SCALE", "DART_PREFETCHERS",
+    "DART_SERVE_BATCH", "DART_SERVE_DEADLINE_US", "DART_SERVE_PIN",
+    "DART_SERVE_QUEUE", "DART_SERVE_RATE", "DART_SERVE_REQUESTS",
+    "DART_SERVE_SHARDS", "DART_SERVE_STREAMS", "DART_SERVE_WATCHDOG_MS",
+    "DART_SERVE_WATERMARK_HI", "DART_SERVE_WATERMARK_LO", "DART_SERVE_WORKLOADS",
+    "DART_SIM_INSTR",
+    "DART_SWEEP_BACKOFF_MS", "DART_SWEEP_DIR", "DART_SWEEP_RETRIES",
+    "DART_SWEEP_TIMEOUT_MS",
+    "DART_THREADS", "DART_TRAIN_SAMPLES", "DART_WORKLOADS",
+};
+
+/// The names of the DART_* variables in `env` that are not in kKnobs, in
+/// the order found. `env` is a null-terminated array of "NAME=value"
+/// entries, as `environ` is.
+std::vector<std::string> unknown_knobs(const char* const* env);
+
+/// Prints one warning line on stderr naming every DART_* variable of this
+/// process's environment that is not a knob, which the code would silently
+/// ignore (a removed or misspelt knob). Each tool's main calls it first.
+void warn_unknown_knobs();
 
 /// RFC 4180 CSV field: a field holding a comma, a quote or a line break is
 /// quoted, with embedded quotes doubled; any other field is returned as is.

@@ -26,7 +26,11 @@ struct KMeansOptions {
 ///
 /// Deterministic for a fixed seed. When N < k the surplus centroids are
 /// duplicated from sampled rows (keeps downstream table shapes fixed).
-/// Assignment and update steps are parallelized over rows.
+/// Throws std::invalid_argument when `data` is not 2-D or has no rows, or
+/// when `k` is 0. The assignment step is parallelized over 16-row blocks;
+/// the seeding and the update step are serial. AVX-512 builds compute 16
+/// rows' distances in lanes with the scalar loop's rounding, so outputs
+/// do not depend on the build (DESIGN.md §6).
 KMeansResult kmeans(const nn::Tensor& data, std::size_t k, const KMeansOptions& opt = {});
 
 /// Index of the centroid nearest to `row` (L2). `v` is the vector length.

@@ -8,6 +8,7 @@
 // compatibility break, not a refactor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -425,6 +426,22 @@ TEST(Env, ListSplitsOnComma) {
   EXPECT_EQ(items[0], "a");
   EXPECT_EQ(items[2], "c");
   ::unsetenv("DART_TEST_LIST");
+}
+
+TEST(Env, KnobListIsSortedAndUnique) {
+  EXPECT_TRUE(std::is_sorted(std::begin(kKnobs), std::end(kKnobs)));
+  EXPECT_EQ(std::adjacent_find(std::begin(kKnobs), std::end(kKnobs)), std::end(kKnobs));
+}
+
+// DART_QUANT was a knob until quantized tables were deleted; DART_THREAD is
+// DART_THREADS misspelt. Both would otherwise be ignored without a word.
+TEST(Env, UnknownKnobsAreNamed) {
+  const char* env[] = {"DART_QUANT=int8", "DART_THREADS=2", "HOME=/x", "DART_THREAD=4",
+                       "DART_FAULT=", "XDART_APPS=1", "DART_SWEEP_DIR", nullptr};
+  EXPECT_EQ(unknown_knobs(env), (std::vector<std::string>{"DART_QUANT", "DART_THREAD"}));
+  const char* known[] = {"DART_SIM_INSTR=1", nullptr};
+  EXPECT_TRUE(unknown_knobs(known).empty());
+  EXPECT_TRUE(unknown_knobs(nullptr).empty());
 }
 
 TEST(TablePrinter, FormatHelpers) {

@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "io/bytes.hpp"
 #include "pq/encoder.hpp"
 #include "pq/kmeans.hpp"
 #include "pq/pq.hpp"
@@ -68,6 +71,63 @@ TEST(KMeans, RejectsBadInput) {
   EXPECT_THROW(kmeans(bad, 2), std::invalid_argument);
   nn::Tensor ok({4, 2});
   EXPECT_THROW(kmeans(ok, 0), std::invalid_argument);
+  try {
+    kmeans(nn::Tensor({0, 4}), 2);
+    ADD_FAILURE() << "zero rows accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("0 rows"), std::string::npos) << e.what();
+  }
+}
+
+/// [n, v] rows of integers scaled by 2^-16, so no float arithmetic that a
+/// compiler could contract makes them. Every 7th row repeats the row before
+/// it, and at n = 17 row 8 is NaN.
+nn::Tensor integer_rows(std::size_t n, std::size_t v) {
+  nn::Tensor t({n, v});
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t src = i % 7 == 6 ? i - 1 : i;
+    for (std::size_t j = 0; j < v; ++j) {
+      const auto q = static_cast<std::int64_t>(common::mix64(src * 131 + j) % 2000001) - 1000000;
+      t.at(i, j) = static_cast<float>(q) * 0x1p-16f;
+    }
+  }
+  if (n == 17) {
+    for (std::size_t j = 0; j < v; ++j) t.at(8, j) = std::numeric_limits<float>::quiet_NaN();
+  }
+  return t;
+}
+
+// Raw k-means output, pinned by hash: centroids, assignment and inertia
+// over V x K x N shapes that cover 16-row groups and their tails, K > N,
+// duplicate rows and a NaN row. kmeans.cpp is built with -ffp-contract=off,
+// so the AVX-512 lanes (Release) and the scalar loop (DART_NATIVE=OFF,
+// sanitizer builds) give the same hash. Each final assignment is also
+// checked row by row against nearest_centroid on the centroids it was made
+// from, which are the outputs of one Lloyd pass fewer (tol = 0 never stops
+// early). nearest_centroid is compiled in the library's own translation
+// unit; a copy of its loop here could contract differently.
+TEST(KMeans, OutputsArePinned) {
+  const std::size_t iters = 3;
+  std::uint64_t digest = io::kFnv1aBasis;
+  for (std::size_t v : {1, 2, 3, 4, 7, 8, 12, 16, 64}) {
+    for (std::size_t k : {1, 16, 128, 256}) {
+      for (std::size_t n : {1, 15, 16, 17, 4099}) {
+        SCOPED_TRACE("V=" + std::to_string(v) + " K=" + std::to_string(k) + " N=" + std::to_string(n));
+        const nn::Tensor data = integer_rows(n, v);
+        const std::uint64_t seed = 7 + v + k + n;
+        const KMeansResult res = kmeans(data, k, {iters, 0.0, seed});
+        const KMeansResult prev = kmeans(data, k, {iters - 1, 0.0, seed});
+        ASSERT_EQ(res.iterations, iters);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(res.assignment[i], nearest_centroid(data.row(i), prev.centroids)) << "row " << i;
+        }
+        digest = io::fnv1a64(res.centroids.data(), res.centroids.numel() * sizeof(float), digest);
+        digest = io::fnv1a64(res.assignment.data(), n * sizeof(std::uint32_t), digest);
+        digest = io::fnv1a64(&res.inertia, sizeof(res.inertia), digest);
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x0d74a24d07e4446cULL);
 }
 
 TEST(ExactEncoder, PicksNearestPrototype) {

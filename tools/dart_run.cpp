@@ -248,6 +248,7 @@ int run_serve(const trace::Workload& workload, const io::ArtifactInfo& info,
 }  // namespace
 
 int main(int argc, char** argv) try {
+  common::warn_unknown_knobs();
   if (argc < 2) return usage(argv[0]);
   const std::string path = argv[1];
   bool info_mode = false, bench_mode = false, simulate_mode = false, serve_mode = false;

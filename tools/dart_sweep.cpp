@@ -67,6 +67,7 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) try {
+  common::warn_unknown_knobs();
   core::ExperimentSpec spec = core::ExperimentSpec::bench_defaults();
   spec.sweep = core::SweepOptions::from_env();
   std::string csv_path;

@@ -116,6 +116,7 @@ void print_stats(const trace::MemoryTrace& t) {
 }  // namespace
 
 int main(int argc, char** argv) try {
+  common::warn_unknown_knobs();
   std::string spec_text, out_path, validate_text;
   std::size_t n = 100000;
   std::uint64_t seed = 42;

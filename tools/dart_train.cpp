@@ -50,6 +50,7 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) try {
+  common::warn_unknown_knobs();
   std::string app_name = "605.mcf";
   std::string out_path;
   std::string artifact_dir;
