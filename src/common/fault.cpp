@@ -11,62 +11,25 @@ namespace dart::common {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t");
-  std::size_t e = s.find_last_not_of(" \t");
-  return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
+/// The value of a parameter the clause must carry, at most `max`.
+std::uint64_t required_uint(Spec& clause, const std::string& key,
+                            std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (!clause.has(key)) clause.fail("missing required parameter '" + key + "'");
+  return clause.get_uint(key, 0, max);
 }
 
-[[noreturn]] void bad_spec(const std::string& what) { throw InputError("DART_FAULT: " + what); }
-
-/// How a parameter's value error names it, e.g. "DART_FAULT: slow-cell: parameter 'ms'".
-std::string param_name(const FaultSpec& spec, const std::string& key) {
-  return "DART_FAULT: " + spec.kind + ": parameter '" + key + "'";
-}
-
-double parse_probability(const FaultSpec& spec, const std::string& key, const std::string& value) {
-  const std::string name = param_name(spec, key);
-  const double p = parse_double(name, value);
-  if (p > 1.0) throw InputError(name + ": " + value + " is not a probability in [0, 1]");
+/// The clause's required `p=`, a probability in [0, 1].
+double required_probability(Spec& clause) {
+  if (!clause.has("p")) clause.fail("missing required parameter 'p'");
+  const double p = clause.get_double("p", 0.0);
+  if (p > 1.0) clause.fail("parameter 'p' is not a probability in [0, 1]");
   return p;
 }
 
-/// Looks up `key`; returns whether present, value in `out`.
-bool find_param(const FaultSpec& spec, const std::string& key, std::string& out) {
-  for (const auto& [k, v] : spec.params) {
-    if (k == key) {
-      out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-void require_known_params(const FaultSpec& spec, std::initializer_list<const char*> known) {
-  for (const auto& [k, v] : spec.params) {
-    bool ok = false;
-    for (const char* name : known) ok = ok || (k == name);
-    if (!ok) bad_spec(spec.kind + ": unknown parameter '" + k + "'");
-  }
-}
-
-std::uint64_t required_u64(const FaultSpec& spec, const std::string& key,
-                           std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  std::string v;
-  if (!find_param(spec, key, v)) bad_spec(spec.kind + ": missing required parameter '" + key + "'");
-  return parse_uint(param_name(spec, key), v, max);
-}
-
-std::uint64_t optional_u64(const FaultSpec& spec, const std::string& key, std::uint64_t fallback) {
-  std::string v;
-  return find_param(spec, key, v) ? parse_uint(param_name(spec, key), v) : fallback;
-}
-
-std::string required_str(const FaultSpec& spec, const std::string& key) {
-  std::string v;
-  if (!find_param(spec, key, v)) bad_spec(spec.kind + ": missing required parameter '" + key + "'");
-  if (v.empty()) bad_spec(spec.kind + ": parameter '" + key + "' must not be empty");
-  return v;
+/// The clause's required `match=` substring.
+std::string required_match(Spec& clause) {
+  if (!clause.has("match")) clause.fail("missing required parameter 'match'");
+  return clause.get_string("match", "");
 }
 
 /// Deterministic Bernoulli draw: counter-based SplitMix64
@@ -80,40 +43,6 @@ bool draw(double p, std::uint64_t seed, std::atomic<std::uint64_t>& counter) {
 }
 
 }  // namespace
-
-std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
-  std::vector<FaultSpec> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find(';', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string clause = trim(text.substr(start, end - start));
-    start = end + 1;
-    if (clause.empty()) continue;
-
-    FaultSpec spec;
-    const std::size_t colon = clause.find(':');
-    spec.kind = trim(clause.substr(0, colon));
-    if (spec.kind.empty()) bad_spec("empty fault kind in '" + clause + "'");
-    if (colon != std::string::npos) {
-      std::size_t p = colon + 1;
-      while (p <= clause.size()) {
-        std::size_t q = clause.find(',', p);
-        if (q == std::string::npos) q = clause.size();
-        const std::string param = trim(clause.substr(p, q - p));
-        p = q + 1;
-        if (param.empty()) continue;
-        const std::size_t eq = param.find('=');
-        if (eq == std::string::npos || eq == 0) {
-          bad_spec(spec.kind + ": parameter '" + param + "' is not key=value");
-        }
-        spec.params.emplace_back(trim(param.substr(0, eq)), trim(param.substr(eq + 1)));
-      }
-    }
-    out.push_back(std::move(spec));
-  }
-  return out;
-}
 
 /// The armed plan: immutable clause parameters plus mutable per-clause fire
 /// budgets (atomics; the plan object is shared as const by the hooks).
@@ -182,80 +111,61 @@ struct FaultInjector::Plan {
 };
 
 void FaultInjector::install(const std::string& spec) {
-  const std::vector<FaultSpec> specs = parse_fault_specs(spec);
+  const std::vector<std::string> clauses = split_spec_list(spec);
   auto plan = std::make_shared<Plan>();
-  for (const FaultSpec& s : specs) {
-    if (s.kind == "slow-shard") {
-      require_known_params(s, {"shard", "us", "batches"});
+  for (const std::string& text : clauses) {
+    Spec s = Spec::parse(text, ':', "DART_FAULT");
+    const std::string& kind = s.name();
+    if (kind == "slow-shard") {
       auto& c = plan->slow.emplace_back();
-      c.shard = static_cast<std::size_t>(required_u64(s, "shard"));
+      c.shard = static_cast<std::size_t>(required_uint(s, "shard"));
       // Past these bounds the injected sleep's duration wraps.
-      c.us = required_u64(s, "us", kMaxTimerSeconds * 1000 * 1000);
-      c.batches = optional_u64(s, "batches", 0);
-    } else if (s.kind == "stall-shard") {
-      require_known_params(s, {"shard", "after"});
+      c.us = required_uint(s, "us", kMaxTimerSeconds * 1000 * 1000);
+      c.batches = s.get_uint("batches", 0);
+    } else if (kind == "stall-shard") {
       auto& c = plan->stall.emplace_back();
-      c.shard = static_cast<std::size_t>(required_u64(s, "shard"));
-      c.after = optional_u64(s, "after", 0);
-    } else if (s.kind == "drop-wake") {
-      require_known_params(s, {"p", "seed"});
-      std::string v;
-      if (!find_param(s, "p", v)) bad_spec("drop-wake: missing required parameter 'p'");
+      c.shard = static_cast<std::size_t>(required_uint(s, "shard"));
+      c.after = s.get_uint("after", 0);
+    } else if (kind == "drop-wake") {
       auto& c = plan->drop_wake.emplace_back();
-      c.p = parse_probability(s, "p", v);
-      c.seed = optional_u64(s, "seed", 42);
-    } else if (s.kind == "reject-submit") {
-      require_known_params(s, {"p", "seed", "shard"});
-      std::string v;
-      if (!find_param(s, "p", v)) bad_spec("reject-submit: missing required parameter 'p'");
+      c.p = required_probability(s);
+      c.seed = s.get_uint("seed", 42);
+    } else if (kind == "reject-submit") {
       auto& c = plan->reject.emplace_back();
-      c.p = parse_probability(s, "p", v);
-      c.seed = optional_u64(s, "seed", 42);
-      std::string sh;
-      if (find_param(s, "shard", sh)) {
-        c.shard = static_cast<std::int64_t>(parse_uint(param_name(s, "shard"), sh));
-      }
-    } else if (s.kind == "corrupt-artifact") {
-      require_known_params(s, {"offset", "count"});
+      c.p = required_probability(s);
+      c.seed = s.get_uint("seed", 42);
+      if (s.has("shard")) c.shard = static_cast<std::int64_t>(s.get_uint("shard", 0));
+    } else if (kind == "corrupt-artifact" || kind == "truncate-artifact") {
       auto& c = plan->mutate.emplace_back();
-      c.truncate = false;
-      c.arg = required_u64(s, "offset");
-      c.count = optional_u64(s, "count", 1);
-    } else if (s.kind == "truncate-artifact") {
-      require_known_params(s, {"bytes", "count"});
-      auto& c = plan->mutate.emplace_back();
-      c.truncate = true;
-      c.arg = required_u64(s, "bytes");
-      c.count = optional_u64(s, "count", 1);
-    } else if (s.kind == "fail-cell") {
-      require_known_params(s, {"match", "times"});
+      c.truncate = kind == "truncate-artifact";
+      c.arg = required_uint(s, c.truncate ? "bytes" : "offset");
+      c.count = s.get_uint("count", 1);
+    } else if (kind == "fail-cell") {
       auto& c = plan->fail_cell.emplace_back();
-      c.match = required_str(s, "match");
-      c.times = optional_u64(s, "times", 0);
-    } else if (s.kind == "slow-cell") {
-      require_known_params(s, {"match", "ms", "times"});
+      c.match = required_match(s);
+      c.times = s.get_uint("times", 0);
+    } else if (kind == "slow-cell") {
       auto& c = plan->slow_cell.emplace_back();
-      c.match = required_str(s, "match");
-      c.ms = required_u64(s, "ms", kMaxTimerSeconds * 1000);
-      c.times = optional_u64(s, "times", 0);
-    } else if (s.kind == "corrupt-store-tail") {
-      require_known_params(s, {"bytes", "count"});
+      c.match = required_match(s);
+      c.ms = required_uint(s, "ms", kMaxTimerSeconds * 1000);
+      c.times = s.get_uint("times", 0);
+    } else if (kind == "corrupt-store-tail") {
       auto& c = plan->mutate_store.emplace_back();
-      c.bytes = required_u64(s, "bytes");
-      if (c.bytes == 0) bad_spec("corrupt-store-tail: 'bytes' must be positive");
-      c.count = optional_u64(s, "count", 1);
-    } else if (s.kind == "crash-after-commit") {
-      require_known_params(s, {"after", "hard"});
+      c.bytes = required_uint(s, "bytes");
+      if (c.bytes == 0) s.fail("parameter 'bytes' must be positive");
+      c.count = s.get_uint("count", 1);
+    } else if (kind == "crash-after-commit") {
       auto& c = plan->crash.emplace_back();
-      c.after = required_u64(s, "after");
-      if (c.after == 0) bad_spec("crash-after-commit: 'after' must be positive");
-      c.hard = optional_u64(s, "hard", 0) != 0;
+      c.after = required_uint(s, "after");
+      if (c.after == 0) s.fail("parameter 'after' must be positive");
+      c.hard = s.get_uint("hard", 0) != 0;
     } else {
-      bad_spec("unknown fault kind '" + s.kind + "'");
+      s.fail("unknown fault kind '" + kind + "'");
     }
+    s.reject_unused();
   }
 
-  const bool empty = specs.empty();
+  const bool empty = clauses.empty();
   std::lock_guard<std::mutex> lock(mu_);
   plan_ = empty ? nullptr : std::move(plan);
   slow_batches_.store(0, std::memory_order_relaxed);

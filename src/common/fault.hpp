@@ -17,13 +17,9 @@
 // `tests/serve_chaos_test.cpp` and `tests/sweep_chaos_test.cpp` build
 // their assertions on.
 //
-// Grammar (see §11 and §13 for the full tables):
-//
-//   spec     := fault (';' fault)*
-//   fault    := kind [':' param (',' param)*]
-//   param    := key '=' value
-//
-// Serving-path kinds:
+// A spec is a ';'-separated list of clauses, each in the one spec grammar
+// of common::Spec (DESIGN.md §4) with ':' after the kind, e.g.
+// "slow-shard:shard=0,us=500;drop-wake:p=0.1". Serving-path kinds:
 //
 //   slow-shard:shard=N,us=U[,batches=B]   delay each batch on shard N by U
 //                                         microseconds (first B batches;
@@ -71,17 +67,6 @@
 
 namespace dart::common {
 
-/// One parsed fault clause: its kind plus the key=value parameters.
-struct FaultSpec {
-  std::string kind;                                          ///< e.g. "slow-shard"
-  std::vector<std::pair<std::string, std::string>> params;   ///< in spec order
-};
-
-/// Parses a `DART_FAULT` spec string into clauses; throws InputError
-/// (common/text.hpp) on grammar errors. An empty string parses to an empty
-/// plan.
-std::vector<FaultSpec> parse_fault_specs(const std::string& text);
-
 /// What `FaultInjector::on_batch` tells the shard loop to do before
 /// serving the batch it just assembled.
 struct BatchFault {
@@ -127,10 +112,10 @@ struct FaultCounters {
 class FaultInjector {
  public:
   /// Parses and arms `spec`; an empty string disarms. Resets the fired
-  /// counters. Throws InputError (common/text.hpp) on grammar errors,
-  /// unknown kinds, unknown or missing parameters, or out-of-range values,
-  /// leaving the previous plan armed. `slow-cell:ms` and `slow-shard:us`
-  /// are bounded by kMaxTimerSeconds.
+  /// counters. Throws InputError (common/text.hpp) on a malformed clause
+  /// (common::Spec), an unknown kind, an unknown or missing parameter, or
+  /// an out-of-range value, leaving the previous plan armed.
+  /// `slow-cell:ms` and `slow-shard:us` are bounded by kMaxTimerSeconds.
   void install(const std::string& spec);
 
   /// Disarms all faults (hooks return to their single-load fast path).

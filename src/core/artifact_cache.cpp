@@ -1,6 +1,5 @@
 #include "core/artifact_cache.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -42,8 +41,7 @@ DartVariant resolve_variant(const sim::DartModelRequest& request) {
 }  // namespace
 
 std::string normalize_dart_variant(const std::string& variant) {
-  std::string v = variant;
-  for (auto& c : v) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  std::string v = common::lower(variant);
   if (v == "m" || v.empty()) v = "default";
   return v;
 }

@@ -224,7 +224,7 @@ ExperimentSpec ExperimentSpec::bench_defaults() {
   for (trace::App app : env_apps()) spec.workloads.push_back(trace::app_name(app));
   for (std::string& w : env_workloads()) spec.workloads.push_back(std::move(w));
   const std::string pfs = common::env_string("DART_PREFETCHERS", "");
-  if (!pfs.empty()) spec.prefetchers = sim::split_spec_list(pfs);
+  if (!pfs.empty()) spec.prefetchers = common::split_spec_list(pfs);
   return spec;
 }
 

@@ -92,10 +92,7 @@ void register_model_backed_prefetchers(PrefetcherRegistry& registry) {
   // must be built exactly as the model was trained.
   registry.add("dart-artifact", [](PrefetcherSpec& spec, PrefetcherContext& context) {
     const std::string file = spec.get_string("file", "");
-    if (file.empty()) {
-      throw common::InputError("prefetcher spec '" + spec.text() +
-                               "' needs file=<path to .dart artifact>");
-    }
+    if (file.empty()) spec.fail("needs file=<path to .dart artifact>");
     prefetch::NnAdapterOptions o = adapter_options(spec, context, /*default_sample=*/1);
     const std::optional<std::size_t> latency = latency_param(spec);
     io::ArtifactInfo info;

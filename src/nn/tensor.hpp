@@ -56,12 +56,8 @@ class Tensor {
   }
 
   /// Pointer to row i of a 2-D tensor (or to matrix i of a 3-D tensor).
-  float* row(std::size_t i) {
-    return data_.data() + i * (numel() / shape_[0]);
-  }
-  const float* row(std::size_t i) const {
-    return data_.data() + i * (numel() / shape_[0]);
-  }
+  float* row(std::size_t i) { return data_.data() + i * row_stride(); }
+  const float* row(std::size_t i) const { return data_.data() + i * row_stride(); }
 
   /// Returns a tensor with the same data and a new shape (numel must match).
   Tensor reshaped(std::vector<std::size_t> new_shape) const;
@@ -93,6 +89,14 @@ class Tensor {
   static Tensor rand_uniform(std::vector<std::size_t> shape, float bound, std::uint64_t seed);
 
  private:
+  /// Elements per row: the product of the trailing extents. No division,
+  /// so a tensor with 0 rows has a stride too.
+  std::size_t row_stride() const {
+    std::size_t n = 1;
+    for (std::size_t d = 1; d < shape_.size(); ++d) n *= shape_[d];
+    return n;
+  }
+
   std::vector<std::size_t> shape_;
   std::vector<float> data_;
 };

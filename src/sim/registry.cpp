@@ -1,8 +1,6 @@
 #include "sim/registry.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/text.hpp"
@@ -11,30 +9,12 @@ namespace dart::sim {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 /// Thrown by validate()'s dry-run model providers to stop a model-backed
 /// factory once it has read its parameters.
 struct DryRunStop {};
 
-/// Refuses the keys of `spec` that its factory never read.
-void reject_unused(const PrefetcherSpec& spec) {
-  const std::vector<std::string> unused = spec.unused_keys();
-  if (unused.empty()) return;
-  std::string keys;
-  for (const auto& k : unused) keys += (keys.empty() ? "" : ", ") + k;
-  throw common::InputError("prefetcher spec '" + spec.text() + "': unknown parameter(s): " + keys);
-}
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+PrefetcherSpec parse_spec(const std::string& text) {
+  return common::Spec::parse(text, ':', "prefetcher spec");
 }
 
 /// Display-name decorator: forwards everything to the wrapped prefetcher
@@ -63,98 +43,7 @@ class RelabeledPrefetcher final : public Prefetcher {
   std::string label_;
 };
 
-/// How a parameter's value error names it, e.g.
-/// "prefetcher spec 'bo:degree=x': parameter 'degree'".
-std::string param_name(const std::string& text, const std::string& key) {
-  return "prefetcher spec '" + text + "': parameter '" + key + "'";
-}
-
 }  // namespace
-
-// ------------------------------------------------------------ PrefetcherSpec
-
-PrefetcherSpec PrefetcherSpec::parse(const std::string& text) {
-  PrefetcherSpec spec;
-  spec.text_ = trim(text);
-  const std::size_t colon = spec.text_.find(':');
-  spec.name_ = lower(trim(spec.text_.substr(0, colon)));
-  if (spec.name_.empty()) {
-    throw common::InputError("prefetcher spec '" + text + "' has an empty name");
-  }
-  if (colon == std::string::npos) return spec;
-
-  std::stringstream params(spec.text_.substr(colon + 1));
-  std::string item;
-  while (std::getline(params, item, ',')) {
-    item = trim(item);
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      spec.params_[lower(item)] = "1";  // bare flag
-      continue;
-    }
-    const std::string key = lower(trim(item.substr(0, eq)));
-    const std::string value = trim(item.substr(eq + 1));
-    if (key.empty() || value.empty()) {
-      throw common::InputError("prefetcher spec '" + text + "': malformed parameter '" +
-                               item + "'");
-    }
-    spec.params_[key] = value;
-  }
-  return spec;
-}
-
-bool PrefetcherSpec::has(const std::string& key) const {
-  return params_.count(lower(key)) != 0;
-}
-
-std::string PrefetcherSpec::get_string(const std::string& key, const std::string& fallback) {
-  const std::string k = lower(key);
-  used_.insert(k);
-  auto it = params_.find(k);
-  return it == params_.end() ? fallback : it->second;
-}
-
-std::size_t PrefetcherSpec::get_uint(const std::string& key, std::size_t fallback) {
-  const std::string v = get_string(key, "");
-  return v.empty() ? fallback : common::parse_uint(param_name(text_, key), v);
-}
-
-double PrefetcherSpec::get_double(const std::string& key, double fallback) {
-  const std::string v = get_string(key, "");
-  return v.empty() ? fallback : common::parse_double(param_name(text_, key), v);
-}
-
-bool PrefetcherSpec::get_flag(const std::string& key, bool fallback) {
-  const std::string v = lower(get_string(key, ""));
-  if (v.empty()) return fallback;
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw common::InputError(param_name(text_, key) + " expects a boolean, got '" + v + "'");
-}
-
-void PrefetcherSpec::set_default(const std::string& key, const std::string& value) {
-  params_.emplace(lower(key), value);
-}
-
-std::vector<std::string> PrefetcherSpec::unused_keys() const {
-  std::vector<std::string> out;
-  for (const auto& [key, value] : params_) {
-    if (used_.count(key) == 0) out.push_back(key);
-  }
-  return out;
-}
-
-std::string PrefetcherSpec::canonical() const {
-  std::string out = name_;
-  char sep = ':';
-  for (const auto& [key, value] : params_) {  // std::map: already key-sorted
-    out += sep;
-    out += key + "=" + value;
-    sep = ',';
-  }
-  return out;
-}
 
 // -------------------------------------------------------- PrefetcherRegistry
 
@@ -170,18 +59,18 @@ PrefetcherRegistry& PrefetcherRegistry::instance() {
 
 void PrefetcherRegistry::add(const std::string& name, PrefetcherFactory factory) {
   std::lock_guard lock(mu_);
-  factories_[lower(name)] = std::move(factory);
+  factories_[common::lower(name)] = std::move(factory);
 }
 
 void PrefetcherRegistry::add_alias(const std::string& alias, const std::string& target,
                                    const std::map<std::string, std::string>& implied) {
   std::lock_guard lock(mu_);
-  aliases_[lower(alias)] = Alias{lower(target), implied};
+  aliases_[common::lower(alias)] = Alias{common::lower(target), implied};
 }
 
 bool PrefetcherRegistry::contains(const std::string& name) const {
   std::lock_guard lock(mu_);
-  const std::string n = lower(name);
+  const std::string n = common::lower(name);
   return factories_.count(n) != 0 || aliases_.count(n) != 0;
 }
 
@@ -222,7 +111,7 @@ PrefetcherFactory PrefetcherRegistry::resolve(PrefetcherSpec& spec) const {
 }
 
 void PrefetcherRegistry::validate(const std::string& spec_text) const {
-  PrefetcherSpec spec = PrefetcherSpec::parse(spec_text);
+  PrefetcherSpec spec = parse_spec(spec_text);
   const PrefetcherFactory factory = resolve(spec);
   spec.get_string("label", "");
   PrefetcherContext dry;
@@ -234,16 +123,16 @@ void PrefetcherRegistry::validate(const std::string& spec_text) const {
   } catch (const DryRunStop&) {
     // The factory read its parameters and asked for a model: spec is valid.
   }
-  reject_unused(spec);
+  spec.reject_unused();
 }
 
 std::unique_ptr<Prefetcher> PrefetcherRegistry::make(const std::string& spec_text,
                                                      PrefetcherContext& context) const {
-  PrefetcherSpec spec = PrefetcherSpec::parse(spec_text);
+  PrefetcherSpec spec = parse_spec(spec_text);
   const PrefetcherFactory factory = resolve(spec);
   const std::string label = spec.get_string("label", "");
   std::unique_ptr<Prefetcher> pf = factory(spec, context);
-  reject_unused(spec);
+  spec.reject_unused();
   if (!label.empty()) pf = std::make_unique<RelabeledPrefetcher>(std::move(pf), label);
   return pf;
 }
@@ -256,22 +145,6 @@ std::unique_ptr<Prefetcher> make_prefetcher(const std::string& spec_text,
 std::unique_ptr<Prefetcher> make_prefetcher(const std::string& spec_text) {
   PrefetcherContext context;
   return PrefetcherRegistry::instance().make(spec_text, context);
-}
-
-std::vector<std::string> split_spec_list(const std::string& text) {
-  // Commas split only parameter-free legacy name lists; any ';' or ':'
-  // means spec grammar, where ';' is the separator.
-  const bool legacy_names_only =
-      text.find(';') == std::string::npos && text.find(':') == std::string::npos;
-  const char delim = legacy_names_only ? ',' : ';';
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, delim)) {
-    item = trim(item);
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 }  // namespace dart::sim

@@ -1,16 +1,12 @@
 // Extensible prefetcher registry (DESIGN.md §4).
 //
 // Every prefetcher the experiment harness knows is a named factory keyed by
-// a parseable *spec string*:
-//
-//   spec   := name [":" param ("," param)*]
-//   param  := key "=" value | flag
-//
-// e.g. "stride:table=256,degree=4", "dart:variant=l,threshold=0.6" or
-// "transfetch:ideal". Names and keys are case-insensitive; a bare flag is
-// shorthand for `flag=1`. Legacy display names ("DART-S", "TransFetch-I")
-// are registered as aliases that imply the matching parameters, so every
-// spec the old hard-coded driver accepted still works.
+// a *spec string* in the one spec grammar of common::Spec (DESIGN.md §4),
+// with ':' after the name: "stride:table=256,degree=4",
+// "dart:variant=l,threshold=0.6" or "transfetch:ideal". Legacy display
+// names ("DART-S", "TransFetch-I") are registered as aliases that imply the
+// matching parameters, so every spec the old hard-coded driver accepted
+// still works.
 //
 // Factories receive a `PrefetcherContext` that lends them *lazy* access to
 // trained pipeline artifacts (attention teacher, LSTM baseline, tabularized
@@ -25,10 +21,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "common/text.hpp"
 #include "sim/prefetcher.hpp"
 #include "trace/preprocess.hpp"
 
@@ -42,54 +38,10 @@ class TabularPredictor;
 
 namespace dart::sim {
 
-/// Parsed form of a prefetcher spec string. The grammar:
-///
-///     spec   := name [":" param ("," param)*]
-///     param  := key "=" value | flag        (a bare flag means flag=1)
-///
-/// e.g. `"bo"`, `"stride:table=256,degree=4"`, `"transfetch:ideal"`,
-/// `"dart:variant=l,threshold=0.6"`, `"dart-artifact:file=m.dart"`. Names
-/// and keys are case-insensitive; every spec additionally accepts
-/// `label=<name>` to override the display name. Parameter getters record
-/// which keys were consumed so the registry can reject typos
-/// (`unused_keys`).
-class PrefetcherSpec {
- public:
-  /// Parses `text`; throws common::InputError on an empty name or a
-  /// malformed `key=value` pair.
-  static PrefetcherSpec parse(const std::string& text);
-
-  /// The (lowercased) prefetcher name the spec opens with.
-  const std::string& name() const { return name_; }
-  /// The original spec text as supplied by the user.
-  const std::string& text() const { return text_; }
-
-  bool has(const std::string& key) const;
-  std::string get_string(const std::string& key, const std::string& fallback);
-  /// Throws common::InputError naming the spec and key unless the value is
-  /// a whole unsigned decimal integer (common::parse_uint).
-  std::size_t get_uint(const std::string& key, std::size_t fallback);
-  /// Throws common::InputError naming the spec and key unless the value is
-  /// a finite unsigned number (common::parse_double).
-  double get_double(const std::string& key, double fallback);
-  /// Bare flags ("transfetch:ideal") and 1/true/yes/on are true.
-  bool get_flag(const std::string& key, bool fallback = false);
-
-  /// Installs a parameter unless the user already set it (alias expansion).
-  void set_default(const std::string& key, const std::string& value);
-  /// Keys present in the spec that no getter ever consumed.
-  std::vector<std::string> unused_keys() const;
-
-  /// Canonical "name:k=v,..." form (keys sorted); parsing it yields an
-  /// equal spec, making specs round-trippable through CSV/JSON exports.
-  std::string canonical() const;
-
- private:
-  std::string text_;
-  std::string name_;
-  std::map<std::string, std::string> params_;
-  std::set<std::string> used_;
-};
+/// A parsed prefetcher spec: common::Spec::parse(text, ':', "prefetcher
+/// spec"). Every spec also accepts `label=<name>` to override the display
+/// name.
+using PrefetcherSpec = common::Spec;
 
 /// Request for a tabularized DART predictor, as expressed in a spec
 /// ("dart:variant=s", optionally with table overrides).
@@ -191,11 +143,6 @@ std::unique_ptr<Prefetcher> make_prefetcher(const std::string& spec_text,
                                             PrefetcherContext& context);
 /// Context-free overload for prefetchers that need no trained artifacts.
 std::unique_ptr<Prefetcher> make_prefetcher(const std::string& spec_text);
-
-/// Splits a user-facing spec list (DART_PREFETCHERS, CLI args): semicolons
-/// always separate; commas also separate when no spec in the list carries
-/// parameters (legacy "BO,ISB,DART" lists keep working).
-std::vector<std::string> split_spec_list(const std::string& text);
 
 // Built-in factory packs, installed by instance() on first use. Defined
 // next to the prefetchers they wrap (src/prefetch/rule_based.cpp and

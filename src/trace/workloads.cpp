@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -13,17 +12,6 @@
 namespace dart::trace {
 
 namespace {
-
-std::string lower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t");
-  std::size_t e = s.find_last_not_of(" \t");
-  return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
-}
 
 /// Display names go into artifact file names, so they are restricted to the
 /// safe set; anything else becomes '-'.
@@ -36,88 +24,12 @@ std::string sanitize_name(const std::string& s) {
   return out;
 }
 
-[[noreturn]] void bad_spec(const std::string& what) {
-  throw common::InputError("workload spec: " + what);
-}
-
-/// How a parameter's value error names it, e.g.
-/// "workload spec: sequential: parameter 'footprint'".
-std::string param_name(const std::string& family, const std::string& key) {
-  return "workload spec: " + family + ": parameter '" + key + "'";
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------- WorkloadSpec
-
-WorkloadSpec WorkloadSpec::parse(const std::string& text) {
-  WorkloadSpec spec;
-  std::size_t p = 0;
-  std::size_t q = text.find(',');
-  spec.family_ = lower(trim(text.substr(0, q)));
-  if (spec.family_.empty()) bad_spec("empty family name in '" + text + "'");
-  p = q == std::string::npos ? text.size() + 1 : q + 1;
-  while (p <= text.size()) {
-    q = text.find(',', p);
-    if (q == std::string::npos) q = text.size();
-    const std::string param = trim(text.substr(p, q - p));
-    p = q + 1;
-    if (param.empty()) continue;
-    const std::size_t eq = param.find('=');
-    if (eq == 0) bad_spec(spec.family_ + ": parameter '" + param + "' is not key=value");
-    if (eq == std::string::npos) {
-      spec.params_[lower(param)] = "1";  // bare flag
-    } else {
-      spec.params_[lower(trim(param.substr(0, eq)))] = trim(param.substr(eq + 1));
-    }
-  }
-  return spec;
-}
-
-bool WorkloadSpec::has(const std::string& key) const {
-  return params_.count(lower(key)) != 0;
-}
-
-std::string WorkloadSpec::get_string(const std::string& key, const std::string& fallback) {
-  const std::string k = lower(key);
-  used_.insert(k);
-  auto it = params_.find(k);
-  return it == params_.end() ? fallback : it->second;
-}
-
-std::uint64_t WorkloadSpec::get_size(const std::string& key, std::uint64_t fallback) {
-  const std::string v = get_string(key, "");
-  if (v.empty()) return fallback;
-  const std::size_t suffix = std::string("kmg").find(lower(v.substr(v.size() - 1)));
-  const unsigned shift = suffix == std::string::npos ? 0 : 10 * (suffix + 1);
-  const std::string digits = shift == 0 ? v : v.substr(0, v.size() - 1);
-  // The digits' max keeps the scaled size inside 64 bits.
-  return common::parse_uint(param_name(family_, key), digits, ~std::uint64_t{0} >> shift) << shift;
-}
-
-double WorkloadSpec::get_double(const std::string& key, double fallback) {
-  const std::string v = get_string(key, "");
-  return v.empty() ? fallback : common::parse_double(param_name(family_, key), v);
-}
-
-std::vector<std::string> WorkloadSpec::unused_keys() const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : params_) {
-    if (!used_.count(k)) out.push_back(k);
-  }
-  return out;
-}
-
-std::string WorkloadSpec::canonical() const {
-  std::ostringstream os;
-  os << family_;
-  for (const auto& [k, v] : params_) os << ',' << k << '=' << v;  // map = sorted
-  return os.str();
+/// Parses workload spec text: ',' follows a family name, ':' "tracefile".
+common::Spec parse_spec(const std::string& text, char head_sep) {
+  return common::Spec::parse(text, head_sep, "workload spec");
 }
 
 // ------------------------------------------------------- address-stream layouts
-
-namespace {
 
 /// How synthetic keys become cache-line accesses. Each op on a key issues
 /// the short burst a real data structure would: bucket probes + payload for
@@ -125,13 +37,13 @@ namespace {
 /// for a B-tree, neighbor hops for a graph, or one array touch.
 enum class Layout { kDirect, kHash, kChase, kBtree, kGraph };
 
-Layout layout_from_name(const std::string& name) {
+Layout layout_from_name(const common::Spec& spec, const std::string& name) {
   if (name == "direct") return Layout::kDirect;
   if (name == "hash") return Layout::kHash;
   if (name == "chase") return Layout::kChase;
   if (name == "btree") return Layout::kBtree;
   if (name == "graph") return Layout::kGraph;
-  bad_spec("unknown layout '" + name + "' (direct|hash|chase|btree|graph)");
+  spec.fail("unknown layout '" + name + "' (direct|hash|chase|btree|graph)");
 }
 
 // Disjoint virtual regions per structure, so layouts never alias.
@@ -396,11 +308,11 @@ MemoryTrace generate_synthetic(const SyntheticConfig& cfg, std::size_t n, std::u
   return out;
 }
 
-Workload build_synthetic(WorkloadSpec spec) {
+Workload build_synthetic(common::Spec spec) {
   SyntheticConfig cfg;
   bool known = false;
   for (const auto& [name, family] : family_table()) {
-    if (name == spec.family()) {
+    if (name == spec.name()) {
       cfg.family = family;
       known = true;
       break;
@@ -410,50 +322,40 @@ Workload build_synthetic(WorkloadSpec spec) {
     std::string families;
     for (const auto& [name, f] : family_table()) families += name + "|";
     families.pop_back();
-    bad_spec("unknown family '" + spec.family() + "' (" + families + ")");
+    spec.fail("unknown family '" + spec.name() + "' (" + families + ")");
   }
 
   const std::uint64_t footprint = spec.get_size("footprint", 64ULL << 20);
-  if (footprint < 64 * 64) bad_spec(spec.family() + ": footprint must be at least 4K");
+  if (footprint < 64 * 64) spec.fail("parameter 'footprint' must be at least 4K");
   cfg.items = footprint / 64;
   cfg.layout = layout_from_name(
-      lower(spec.get_string("layout", is_ycsb(cfg.family) ? "hash" : "direct")));
+      spec, common::lower(spec.get_string("layout", is_ycsb(cfg.family) ? "hash" : "direct")));
   cfg.theta = spec.get_double("theta", common::ZipfianSampler::kDefaultTheta);
-  if (cfg.theta <= 0.0 || cfg.theta >= 1.0) {
-    bad_spec(spec.family() + ": theta must be in (0, 1)");
-  }
+  if (cfg.theta <= 0.0 || cfg.theta >= 1.0) spec.fail("parameter 'theta' must be in (0, 1)");
   if (cfg.family == Family::kExponential) {
     cfg.exp_mean = spec.get_double("mean", static_cast<double>(cfg.items) / 10.0);
-    if (cfg.exp_mean <= 0.0) bad_spec("exponential: mean must be > 0");
+    if (cfg.exp_mean <= 0.0) spec.fail("parameter 'mean' must be > 0");
   }
   if (cfg.family == Family::kSequential) {
     cfg.stride = spec.get_size("stride", 1);
-    if (cfg.stride == 0) bad_spec("sequential: stride must be > 0");
+    if (cfg.stride == 0) spec.fail("parameter 'stride' must be > 0");
   }
   if (cfg.family == Family::kYcsbE) {
     cfg.scan_max = spec.get_size("scan", 16);
-    if (cfg.scan_max == 0) bad_spec("ycsb-e: scan must be > 0");
+    if (cfg.scan_max == 0) spec.fail("parameter 'scan' must be > 0");
   }
   if (!is_ycsb(cfg.family)) {
     cfg.write_frac = spec.get_double("write", 0.0);
-    if (cfg.write_frac < 0.0 || cfg.write_frac > 1.0) {
-      bad_spec(spec.family() + ": write must be in [0, 1]");
-    }
+    if (cfg.write_frac > 1.0) spec.fail("parameter 'write' must be in [0, 1]");
   }
   if (spec.has("seed")) {
     cfg.seed_override = true;
     cfg.seed = spec.get_size("seed", 0);
   }
   const std::string label = spec.get_string("label", "");
+  spec.reject_unused();
 
-  const std::vector<std::string> unused = spec.unused_keys();
-  if (!unused.empty()) {
-    std::string keys;
-    for (const std::string& k : unused) keys += (keys.empty() ? "" : ", ") + k;
-    bad_spec(spec.family() + ": unknown parameter(s): " + keys);
-  }
-
-  const std::string name = sanitize_name(label.empty() ? spec.family() : label);
+  const std::string name = sanitize_name(label.empty() ? spec.name() : label);
   const std::string canonical = "trace:" + spec.canonical();
   return Workload(name, canonical,
                   [cfg](std::size_t n, std::uint64_t seed) {
@@ -461,16 +363,11 @@ Workload build_synthetic(WorkloadSpec spec) {
                   });
 }
 
-Workload build_tracefile(WorkloadSpec spec) {
+Workload build_tracefile(common::Spec spec) {
   const std::string path = spec.get_string("path", "");
-  if (path.empty()) bad_spec("tracefile: missing required parameter 'path'");
+  if (path.empty()) spec.fail("missing required parameter 'path'");
   const std::string label = spec.get_string("label", "");
-  const std::vector<std::string> unused = spec.unused_keys();
-  if (!unused.empty()) {
-    std::string keys;
-    for (const std::string& k : unused) keys += (keys.empty() ? "" : ", ") + k;
-    bad_spec("tracefile: unknown parameter(s): " + keys);
-  }
+  spec.reject_unused();
   std::string name = label;
   if (name.empty()) {
     // Default display name: the file's stem.
@@ -479,7 +376,7 @@ Workload build_tracefile(WorkloadSpec spec) {
     const std::size_t dot = name.rfind('.');
     if (dot != std::string::npos && dot > 0) name = name.substr(0, dot);
   }
-  return Workload(sanitize_name(name), "tracefile:" + spec.canonical().substr(10),
+  return Workload(sanitize_name(name), spec.canonical(),
                   [path](std::size_t n, std::uint64_t /*seed*/) {
                     MemoryTrace file = read_trace_file(path);
                     if (file.empty()) {
@@ -510,20 +407,17 @@ Workload::Workload(App app)
       }) {}
 
 Workload Workload::parse(const std::string& text) {
-  const std::string s = trim(text);
-  if (s.empty()) bad_spec("empty spec");
-  if (lower(s.substr(0, 10)) == "tracefile:") {
-    return build_tracefile(WorkloadSpec::parse("tracefile," + s.substr(10)));
-  }
-  if (lower(s.substr(0, 6)) == "trace:") {
-    return build_synthetic(WorkloadSpec::parse(s.substr(6)));
+  const std::string s = common::trim(text);
+  if (common::lower(s.substr(0, 10)) == "tracefile:") return build_tracefile(parse_spec(s, ':'));
+  if (common::lower(s.substr(0, 6)) == "trace:") {
+    return build_synthetic(parse_spec(s.substr(6), ','));
   }
   // A bare name: Table IV app names take precedence, then family names.
   try {
     return Workload(app_from_name(s));
   } catch (const std::invalid_argument&) {
   }
-  return build_synthetic(WorkloadSpec::parse(s));
+  return build_synthetic(parse_spec(s, ','));
 }
 
 std::vector<std::string> Workload::known_families() {
@@ -538,24 +432,8 @@ MemoryTrace Workload::generate(std::size_t n, std::uint64_t seed) const {
 }
 
 std::vector<Workload> parse_workload_list(const std::string& text) {
-  // Semicolons always separate; commas also separate when the list carries
-  // no parameters (legacy "mcf,gcc" app lists keep working).
-  std::vector<std::string> specs;
-  const bool has_params = text.find('=') != std::string::npos ||
-                          text.find(':') != std::string::npos ||
-                          text.find(';') != std::string::npos;
-  const char sep = has_params ? ';' : ',';
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find(sep, start);
-    if (end == std::string::npos) end = text.size();
-    const std::string item = trim(text.substr(start, end - start));
-    start = end + 1;
-    if (!item.empty()) specs.push_back(item);
-  }
   std::vector<Workload> out;
-  out.reserve(specs.size());
-  for (const std::string& s : specs) out.push_back(Workload::parse(s));
+  for (const std::string& s : common::split_spec_list(text)) out.push_back(Workload::parse(s));
   return out;
 }
 

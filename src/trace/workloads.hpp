@@ -3,8 +3,8 @@
 // A `Workload` is a named, deterministic source of memory-access traces: the
 // eight Table IV app generators, a parameterized key-distribution family
 // mapped onto an address-stream layout, or a ChampSim-style trace file. Every
-// workload is described by a registry-style spec string mirroring the
-// prefetcher grammar of sim/registry.hpp:
+// workload is described by a spec string in the one spec grammar of
+// common::Spec (DESIGN.md §4), with ',' after the family name:
 //
 //     trace:zipfian,theta=0.99,footprint=64M,layout=hash,seed=42
 //     trace:ycsb-b,footprint=1G
@@ -27,8 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -36,36 +34,6 @@
 #include "trace/trace.hpp"
 
 namespace dart::trace {
-
-/// Parsed workload spec parameters: the `key=value` / bare-flag grammar of
-/// sim::PrefetcherSpec, re-hosted here so the trace layer stays independent
-/// of the simulator. Getters record consumed keys; `unused_keys` exposes
-/// typos for rejection.
-class WorkloadSpec {
- public:
-  /// Parses "family[,key=value|flag]...". Throws common::InputError on
-  /// an empty family name or a malformed pair.
-  static WorkloadSpec parse(const std::string& text);
-
-  const std::string& family() const { return family_; }
-
-  bool has(const std::string& key) const;
-  std::string get_string(const std::string& key, const std::string& fallback);
-  /// Accepts K/M/G size suffixes ("64M" = 64·2^20). Throws common::InputError
-  /// on a malformed number or a size past 64 bits.
-  std::uint64_t get_size(const std::string& key, std::uint64_t fallback);
-  double get_double(const std::string& key, double fallback);
-
-  /// Keys present in the spec that no getter consumed (typo detection).
-  std::vector<std::string> unused_keys() const;
-  /// Canonical "family,k=v,..." form (keys sorted); parsing it round-trips.
-  std::string canonical() const;
-
- private:
-  std::string family_;
-  std::map<std::string, std::string> params_;
-  std::set<std::string> used_;
-};
 
 /// A named deterministic trace source. Value type: cheap to copy, carries a
 /// shared generator closure. Replaces bare trace::App throughout the
@@ -109,9 +77,8 @@ class Workload {
   std::function<MemoryTrace(std::size_t, std::uint64_t)> gen_;
 };
 
-/// Parses a ';'-separated workload spec list (DART_WORKLOADS,
-/// DART_SERVE_WORKLOADS, CLI args); ','-separation also works when no spec
-/// carries parameters, mirroring sim::split_spec_list.
+/// Workload::parse over each item of common::split_spec_list(text)
+/// (DART_WORKLOADS, DART_SERVE_WORKLOADS, CLI args).
 std::vector<Workload> parse_workload_list(const std::string& text);
 
 /// 64-bit FNV-1a content hash over the trace's records (little-endian

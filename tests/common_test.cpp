@@ -1,5 +1,5 @@
 // Unit tests for the common utilities: thread pool, parallel_for, RNG,
-// strict number parsing and env knobs, and table printing.
+// strict number parsing and env knobs, the spec grammar, and table printing.
 //
 // The RNG section pins golden output vectors: the counter-based core
 // (SplitMix64 / wyrand / mix64) and every sampler built on it are part of
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -20,10 +21,13 @@
 #include <stdexcept>
 
 #include "common/detmath.hpp"
+#include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "common/table_printer.hpp"
 #include "common/text.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/registry.hpp"
+#include "trace/workloads.hpp"
 
 namespace dart::common {
 namespace {
@@ -442,6 +446,119 @@ TEST(Env, UnknownKnobsAreNamed) {
   const char* known[] = {"DART_SIM_INSTR=1", nullptr};
   EXPECT_TRUE(unknown_knobs(known).empty());
   EXPECT_TRUE(unknown_knobs(nullptr).empty());
+}
+
+// One grammar behind three entry points: each malformed form is refused
+// the same way by Workload::parse, PrefetcherRegistry::validate and
+// FaultInjector::install, naming the grammar and the key.
+TEST(SpecGrammar, EveryEntryPointRefusesTheSameMalformedForms) {
+  enum Entry { kWorkload, kPrefetcher, kFault };
+  struct Case {
+    const char* form;
+    Entry entry;
+    const char* text;
+    const char* names;  ///< what the error must name besides the grammar
+  };
+  const Case cases[] = {
+      {"empty name", kWorkload, "trace:,theta=0.5", "empty name"},
+      {"empty name", kPrefetcher, ":degree=2", "empty name"},
+      {"empty name", kFault, ":p=1", "empty name"},
+      {"empty key", kWorkload, "trace:zipfian,=3", "'=3'"},
+      {"empty key", kPrefetcher, "bo:=3", "'=3'"},
+      {"empty key", kFault, "slow-cell:match=BO,=3", "'=3'"},
+      {"empty value", kWorkload, "trace:zipfian,theta=", "'theta'"},
+      {"empty value", kPrefetcher, "bo:degree=", "'degree'"},
+      {"empty value", kFault, "slow-cell:match=BO,ms=", "'ms'"},
+      {"repeated key", kWorkload, "trace:zipfian,theta=0.5,theta=0.9", "'theta'"},
+      {"repeated key", kPrefetcher, "bo:degree=2,degree=4", "'degree'"},
+      {"repeated key", kFault, "slow-shard:shard=0,shard=1,us=5", "'shard'"},
+      {"bare key to a valued getter", kWorkload, "trace:zipfian,theta", "'theta'"},
+      {"bare key to a valued getter", kPrefetcher, "bo:degree", "'degree'"},
+      {"bare key to a valued getter", kFault, "slow-cell:match=BO,ms", "'ms'"},
+      {"unknown key", kWorkload, "trace:zipfian,thta=0.5", "'thta'"},
+      {"unknown key", kPrefetcher, "bo:degre=2", "'degre'"},
+      {"unknown key", kFault, "slow-cell:match=BO,ms=1,tims=2", "'tims'"},
+  };
+  const char* grammar[] = {"workload spec", "prefetcher spec", "DART_FAULT"};
+  for (const Case& c : cases) {
+    try {
+      switch (c.entry) {
+        case kWorkload: trace::Workload::parse(c.text); break;
+        case kPrefetcher: sim::PrefetcherRegistry::instance().validate(c.text); break;
+        case kFault: fault_injector().install(c.text); break;
+      }
+      ADD_FAILURE() << c.form << ": '" << c.text << "' was accepted";
+    } catch (const InputError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(grammar[c.entry]), std::string::npos) << c.form << ": " << msg;
+      EXPECT_NE(msg.find(c.names), std::string::npos) << c.form << ": " << msg;
+    }
+  }
+  EXPECT_FALSE(fault_injector().armed());
+}
+
+// parse(canonical(x)).canonical() == canonical(x) for every corpus spec,
+// every registry name and one clause per fault kind; and keys and fault
+// kinds are case-insensitive while values keep their case.
+TEST(SpecGrammar, CanonicalFormRoundTrips) {
+  const auto golden = std::filesystem::path(__FILE__).parent_path() / "golden/corpus_hashes.tsv";
+  std::ifstream in(golden);
+  ASSERT_TRUE(in) << golden;
+  std::size_t corpus = 0;
+  for (std::string line; std::getline(in, line); ++corpus) {
+    const std::string spec = line.substr(0, line.find('\t'));
+    const trace::Workload w = trace::Workload::parse(spec);
+    EXPECT_EQ(w.spec(), spec);
+    EXPECT_EQ(trace::Workload::parse(w.spec()).spec(), w.spec());
+  }
+  EXPECT_GE(corpus, 18u);
+  const trace::Workload file = trace::Workload::parse("TraceFile: Path=T.dtrc , label=t");
+  EXPECT_EQ(file.spec(), "tracefile:label=t,path=T.dtrc");
+  EXPECT_EQ(trace::Workload::parse(file.spec()).spec(), file.spec());
+
+  auto round_trips = [](const std::string& text, char head_sep) {
+    const std::string canonical = Spec::parse(text, head_sep, "spec").canonical();
+    EXPECT_EQ(Spec::parse(canonical, head_sep, "spec").canonical(), canonical) << text;
+    return canonical;
+  };
+  for (const std::string& name : sim::PrefetcherRegistry::instance().known_names()) {
+    EXPECT_EQ(round_trips(name, ':'), name);
+  }
+  EXPECT_EQ(round_trips("TransFetch: Ideal , Threshold=0.6", ':'),
+            "transfetch:ideal=1,threshold=0.6");
+
+  FaultInjector& inj = fault_injector();
+  for (const char* clause :
+       {"slow-shard:shard=0,us=1,batches=2", "stall-shard:shard=1,after=3",
+        "drop-wake:p=0.5,seed=7", "reject-submit:p=0.1,shard=0", "corrupt-artifact:offset=9",
+        "truncate-artifact:bytes=4,count=2", "fail-cell:match=BO,times=1",
+        "slow-cell:match=ISB,ms=1", "corrupt-store-tail:bytes=5",
+        "crash-after-commit:after=2,hard=1"}) {
+    const std::string canonical = round_trips(clause, ':');
+    EXPECT_NO_THROW(inj.install(canonical)) << canonical;
+  }
+  inj.install("Slow-Cell:Match=BoX,MS=1");
+  EXPECT_EQ(inj.on_cell("app|BoX").delay_ms, 1u);
+  EXPECT_EQ(inj.on_cell("app|box").delay_ms, 0u) << "values keep their case";
+  inj.clear();
+}
+
+TEST(SplitSpecList, HandlesLegacyAndSpecLists) {
+  const auto legacy = split_spec_list("BO,ISB,DART");
+  ASSERT_EQ(legacy.size(), 3u);
+  EXPECT_EQ(legacy[1], "ISB");
+  const auto specs = split_spec_list("stride:table=64,degree=2; dart:variant=l");
+  ASSERT_EQ(specs.size(), 2u);
+  EXPECT_EQ(specs[0], "stride:table=64,degree=2");
+  EXPECT_EQ(specs[1], "dart:variant=l");
+  // A single parameterized spec without separators stays whole, and so does
+  // a workload spec whose only marker is '='.
+  const auto single = split_spec_list("stride:table=64,degree=2");
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(split_spec_list("zipfian,theta=0.9"), (std::vector<std::string>{"zipfian,theta=0.9"}));
+  // Items are trimmed and empty ones dropped.
+  EXPECT_EQ(split_spec_list(" bo , isb,,"), (std::vector<std::string>{"bo", "isb"}));
+  EXPECT_TRUE(split_spec_list(" ; ").empty());
 }
 
 TEST(TablePrinter, FormatHelpers) {

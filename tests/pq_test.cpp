@@ -1,5 +1,4 @@
-// Tests for the product-quantization substrate: k-means, encoders, and the
-// classic PQ train/query path of §II-B.
+// Tests for the product-quantization substrate: k-means and the encoders.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +11,6 @@
 #include "io/bytes.hpp"
 #include "pq/encoder.hpp"
 #include "pq/kmeans.hpp"
-#include "pq/pq.hpp"
 
 namespace dart::pq {
 namespace {
@@ -232,87 +230,6 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, HashTreeBatch,
     ::testing::Combine(::testing::Values(16, 64, 128, 256, 1024, 100),
                        ::testing::Values(1, 4, 8, 16, 17, 32, 64, 65)));
-
-TEST(ProductQuantizer, ReconstructionIsNearestPrototypeConcat) {
-  nn::Tensor data = clustered_data(200, 8, 4, 7);
-  PqConfig cfg;
-  cfg.num_subspaces = 2;
-  cfg.num_prototypes = 8;
-  ProductQuantizer pq(data, cfg);
-  const auto rec = pq.reconstruct(data.row(0));
-  ASSERT_EQ(rec.size(), 8u);
-  // Reconstruction error must be bounded by cluster spread.
-  float err = 0.0f;
-  for (std::size_t j = 0; j < 8; ++j) {
-    err += (rec[j] - data.at(0, j)) * (rec[j] - data.at(0, j));
-  }
-  EXPECT_LT(std::sqrt(err), 1.0f);
-}
-
-TEST(ProductQuantizer, DotProductApproximation) {
-  nn::Tensor data = clustered_data(500, 8, 8, 8);
-  PqConfig cfg;
-  cfg.num_subspaces = 4;
-  cfg.num_prototypes = 16;
-  ProductQuantizer pq(data, cfg);
-  nn::Tensor w = nn::Tensor::randn({8}, 1.0f, 9);
-  const auto table = pq.build_table(w.data());
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < 100; ++i) {
-    const auto code = pq.encode(data.row(i));
-    const float approx = ProductQuantizer::query(table, code, cfg.num_prototypes);
-    float exact = 0.0f;
-    for (std::size_t j = 0; j < 8; ++j) exact += data.at(i, j) * w[j];
-    max_err = std::max(max_err, static_cast<double>(std::fabs(approx - exact)));
-  }
-  EXPECT_LT(max_err, 1.5);  // bounded by quantization error * |w|
-}
-
-class PqPrototypeSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(PqPrototypeSweep, ErrorShrinksAsPrototypesGrow) {
-  // Property: average quantization error with K prototypes is no worse than
-  // with K/4 prototypes (monotone improvement, Fig. 8's mechanism).
-  const std::size_t k = GetParam();
-  nn::Tensor data = nn::Tensor::randn({600, 8}, 1.0f, 10);
-  auto avg_err = [&](std::size_t protos) {
-    PqConfig cfg;
-    cfg.num_subspaces = 2;
-    cfg.num_prototypes = protos;
-    ProductQuantizer pq(data, cfg);
-    double err = 0.0;
-    for (std::size_t i = 0; i < 200; ++i) {
-      const auto rec = pq.reconstruct(data.row(i));
-      for (std::size_t j = 0; j < 8; ++j) {
-        err += (rec[j] - data.at(i, j)) * (rec[j] - data.at(i, j));
-      }
-    }
-    return err;
-  };
-  EXPECT_LE(avg_err(k), avg_err(std::max<std::size_t>(1, k / 4)) * 1.05);
-}
-
-INSTANTIATE_TEST_SUITE_P(Ks, PqPrototypeSweep, ::testing::Values(8, 16, 32, 64));
-
-TEST(ProductQuantizer, RejectsIndivisibleSubspaces) {
-  nn::Tensor data({10, 7});
-  PqConfig cfg;
-  cfg.num_subspaces = 2;
-  EXPECT_THROW(ProductQuantizer(data, cfg), std::invalid_argument);
-}
-
-TEST(ProductQuantizer, EncodeAllMatchesEncode) {
-  nn::Tensor data = clustered_data(64, 4, 4, 11);
-  PqConfig cfg;
-  cfg.num_subspaces = 2;
-  cfg.num_prototypes = 4;
-  ProductQuantizer pq(data, cfg);
-  const auto codes = pq.encode_all(data);
-  for (std::size_t i = 0; i < 64; ++i) {
-    const auto one = pq.encode(data.row(i));
-    for (std::size_t c = 0; c < 2; ++c) EXPECT_EQ(codes[i * 2 + c], one[c]);
-  }
-}
 
 }  // namespace
 }  // namespace dart::pq

@@ -24,8 +24,12 @@ namespace {
 
 // ----------------------------------------------------------- spec parsing
 
+sim::PrefetcherSpec parse_spec(const std::string& text) {
+  return common::Spec::parse(text, ':', "prefetcher spec");
+}
+
 TEST(PrefetcherSpec, ParsesNameAndParams) {
-  auto spec = sim::PrefetcherSpec::parse("stride:table=256,degree=4");
+  auto spec = parse_spec("stride:table=256,degree=4");
   EXPECT_EQ(spec.name(), "stride");
   EXPECT_EQ(spec.get_uint("table", 0), 256u);
   EXPECT_EQ(spec.get_uint("degree", 0), 4u);
@@ -33,7 +37,7 @@ TEST(PrefetcherSpec, ParsesNameAndParams) {
 }
 
 TEST(PrefetcherSpec, DefaultsFlagsAndCase) {
-  auto spec = sim::PrefetcherSpec::parse("TransFetch: Ideal , Threshold=0.6");
+  auto spec = parse_spec("TransFetch: Ideal , Threshold=0.6");
   EXPECT_EQ(spec.name(), "transfetch");  // names are case-insensitive
   EXPECT_TRUE(spec.get_flag("ideal"));   // bare token = boolean flag
   EXPECT_DOUBLE_EQ(spec.get_double("threshold", 0.5), 0.6);
@@ -42,9 +46,9 @@ TEST(PrefetcherSpec, DefaultsFlagsAndCase) {
 }
 
 TEST(PrefetcherSpec, CanonicalRoundTrips) {
-  auto spec = sim::PrefetcherSpec::parse("dart:variant=l,threshold=0.6,degree=32");
+  auto spec = parse_spec("dart:variant=l,threshold=0.6,degree=32");
   const std::string canonical = spec.canonical();
-  auto reparsed = sim::PrefetcherSpec::parse(canonical);
+  auto reparsed = parse_spec(canonical);
   EXPECT_EQ(reparsed.name(), spec.name());
   EXPECT_EQ(reparsed.canonical(), canonical);
   EXPECT_EQ(reparsed.get_string("variant", ""), "l");
@@ -52,25 +56,25 @@ TEST(PrefetcherSpec, CanonicalRoundTrips) {
 }
 
 TEST(PrefetcherSpec, RejectsMalformedValues) {
-  auto spec = sim::PrefetcherSpec::parse("stride:table=abc");
+  auto spec = parse_spec("stride:table=abc");
   EXPECT_THROW(spec.get_uint("table", 0), std::invalid_argument);
-  auto negative = sim::PrefetcherSpec::parse("nextline:degree=-1");
+  auto negative = parse_spec("nextline:degree=-1");
   EXPECT_THROW(negative.get_uint("degree", 0), common::InputError);  // not wrapped to 2^64-1
-  auto trailing = sim::PrefetcherSpec::parse("nextline:degree=5x");
+  auto trailing = parse_spec("nextline:degree=5x");
   EXPECT_THROW(trailing.get_uint("degree", 0), common::InputError);
-  auto nan = sim::PrefetcherSpec::parse("dart:threshold=nan");
+  auto nan = parse_spec("dart:threshold=nan");
   try {
     nan.get_double("threshold", 0.5);
     ADD_FAILURE() << "threshold=nan was accepted";
   } catch (const common::InputError& e) {
     EXPECT_NE(std::string(e.what()).find("'threshold'"), std::string::npos) << e.what();
   }
-  EXPECT_THROW(sim::PrefetcherSpec::parse(":degree=2"), std::invalid_argument);
-  EXPECT_THROW(sim::PrefetcherSpec::parse("stride:=2"), std::invalid_argument);
+  EXPECT_THROW(parse_spec(":degree=2"), std::invalid_argument);
+  EXPECT_THROW(parse_spec("stride:=2"), std::invalid_argument);
 }
 
 TEST(PrefetcherSpec, TracksUnusedKeys) {
-  auto spec = sim::PrefetcherSpec::parse("stride:table=64,bogus=1");
+  auto spec = parse_spec("stride:table=64,bogus=1");
   spec.get_uint("table", 0);
   const auto unused = spec.unused_keys();
   ASSERT_EQ(unused.size(), 1u);
@@ -154,19 +158,6 @@ TEST(PrefetcherRegistry, ValidateRefusesBadParametersWithoutAModel) {
                            "transfetch:ideal", "voyager:sample=4"}) {
     EXPECT_NO_THROW(registry.validate(spec)) << spec;
   }
-}
-
-TEST(SplitSpecList, HandlesLegacyAndSpecLists) {
-  const auto legacy = sim::split_spec_list("BO,ISB,DART");
-  ASSERT_EQ(legacy.size(), 3u);
-  EXPECT_EQ(legacy[1], "ISB");
-  const auto specs = sim::split_spec_list("stride:table=64,degree=2; dart:variant=l");
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0], "stride:table=64,degree=2");
-  EXPECT_EQ(specs[1], "dart:variant=l");
-  // A single parameterized spec without separators stays whole.
-  const auto single = sim::split_spec_list("stride:table=64,degree=2");
-  ASSERT_EQ(single.size(), 1u);
 }
 
 // ------------------------------------------------------ experiment runner

@@ -218,26 +218,45 @@ std::string temp_artifact(const char* name,
 
 // ---------------------------------------------------------------- grammar
 
+// A DART_FAULT spec is a common::split_spec_list of common::Spec clauses.
+common::Spec parse_clause(const std::string& text) {
+  return common::Spec::parse(text, ':', "DART_FAULT");
+}
+
 TEST(FaultSpec, ParsesClausesAndParams) {
-  EXPECT_TRUE(common::parse_fault_specs("").empty());
-  EXPECT_TRUE(common::parse_fault_specs(" ; ;").empty());
-  const auto specs = common::parse_fault_specs(
-      "slow-shard:shard=1,us=5000; drop-wake:p=0.5,seed=42 ;stall-shard:shard=0");
-  ASSERT_EQ(specs.size(), 3u);
-  EXPECT_EQ(specs[0].kind, "slow-shard");
-  ASSERT_EQ(specs[0].params.size(), 2u);
-  EXPECT_EQ(specs[0].params[0].first, "shard");
-  EXPECT_EQ(specs[0].params[0].second, "1");
-  EXPECT_EQ(specs[1].kind, "drop-wake");
-  EXPECT_EQ(specs[1].params[1].second, "42");
-  EXPECT_EQ(specs[2].kind, "stall-shard");
+  EXPECT_TRUE(common::split_spec_list("").empty());
+  EXPECT_TRUE(common::split_spec_list(" ; ;").empty());
+  const std::string text =
+      "slow-shard:shard=1,us=5000; drop-wake:p=0.5,seed=42 ;stall-shard:shard=0";
+  const auto clauses = common::split_spec_list(text);
+  ASSERT_EQ(clauses.size(), 3u);
+  common::Spec slow = parse_clause(clauses[0]);
+  EXPECT_EQ(slow.name(), "slow-shard");
+  EXPECT_EQ(slow.unused_keys(), (std::vector<std::string>{"shard", "us"}));
+  EXPECT_EQ(slow.get_string("shard", ""), "1");
+  common::Spec drop = parse_clause(clauses[1]);
+  EXPECT_EQ(drop.name(), "drop-wake");
+  EXPECT_EQ(drop.get_string("seed", ""), "42");
+  EXPECT_EQ(parse_clause(clauses[2]).name(), "stall-shard");
+
+  FaultGuard guard;
+  common::FaultInjector& inj = common::fault_injector();
+  inj.install(text);
+  EXPECT_TRUE(inj.armed());
+  inj.install(" ; ;");
+  EXPECT_FALSE(inj.armed()) << "a blank spec disarms";
 }
 
 TEST(FaultSpec, RejectsMalformedGrammar) {
-  using common::parse_fault_specs;
-  EXPECT_THROW(parse_fault_specs("slow-shard:shard"), std::invalid_argument);  // not key=value
-  EXPECT_THROW(parse_fault_specs("slow-shard:=3"), std::invalid_argument);     // empty key
-  EXPECT_THROW(parse_fault_specs(":p=1"), std::invalid_argument);              // empty kind
+  FaultGuard guard;
+  common::FaultInjector& inj = common::fault_injector();
+  // A bare key parses as a flag, and install's valued getter refuses it.
+  EXPECT_NO_THROW(parse_clause("slow-shard:shard"));
+  EXPECT_THROW(inj.install("slow-shard:shard"), common::InputError);
+  for (const char* bad : {"slow-shard:=3", ":p=1"}) {  // empty key, empty kind
+    EXPECT_THROW(parse_clause(bad), common::InputError) << bad;
+    EXPECT_THROW(inj.install(bad), common::InputError) << bad;
+  }
 }
 
 TEST(FaultInjector, RejectsBadSpecsAndKeepsThePreviousPlanArmed) {

@@ -25,6 +25,21 @@ TEST(Tensor, AccessorsAreRowMajor) {
   EXPECT_EQ(u[(1 * 3 + 2) * 4 + 3], 7.0f);
 }
 
+// row() steps by the product of the trailing extents; a tensor with 0 rows
+// used to divide by its 0 leading extent (SIGFPE).
+TEST(Tensor, RowStrideIsTheTrailingExtents) {
+  Tensor empty({0, 4});
+  EXPECT_EQ(empty.row(0), empty.data());
+  const Tensor& cempty = empty;
+  EXPECT_EQ(cempty.row(0), cempty.data());
+  Tensor m({3, 4});
+  EXPECT_EQ(m.row(0), m.data());
+  EXPECT_EQ(m.row(2), m.data() + 8);
+  Tensor b({2, 3, 4});
+  EXPECT_EQ(b.row(1), b.data() + 12);
+  EXPECT_EQ(b.row(1), &b.at(1, 0, 0));
+}
+
 TEST(Tensor, ReshapeKeepsDataRejectsBadShape) {
   Tensor t({2, 6});
   t.at(0, 1) = 3.0f;

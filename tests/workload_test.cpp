@@ -35,9 +35,13 @@ std::uint64_t hash_of(const std::string& spec) {
 
 // ------------------------------------------------------------- spec grammar
 
+common::Spec parse_spec(const std::string& text) {
+  return common::Spec::parse(text, ',', "workload spec");
+}
+
 TEST(WorkloadSpec, ParsesKeyValuesAndCanonicalizes) {
-  WorkloadSpec spec = WorkloadSpec::parse("zipfian,theta=0.9,footprint=1G");
-  EXPECT_EQ(spec.family(), "zipfian");
+  common::Spec spec = parse_spec("zipfian,theta=0.9,footprint=1G");
+  EXPECT_EQ(spec.name(), "zipfian");
   EXPECT_EQ(spec.get_double("theta", 0.0), 0.9);
   EXPECT_EQ(spec.get_size("footprint", 0), 1ULL << 30);
   // Canonical form sorts keys (raw value strings preserved) and
@@ -46,7 +50,7 @@ TEST(WorkloadSpec, ParsesKeyValuesAndCanonicalizes) {
 }
 
 TEST(WorkloadSpec, SizeSuffixes) {
-  WorkloadSpec spec = WorkloadSpec::parse("x,a=64K,b=3M,c=2G,d=123");
+  common::Spec spec = parse_spec("x,a=64K,b=3M,c=2G,d=123");
   EXPECT_EQ(spec.get_size("a", 0), 64ULL << 10);
   EXPECT_EQ(spec.get_size("b", 0), 3ULL << 20);
   EXPECT_EQ(spec.get_size("c", 0), 2ULL << 30);
@@ -54,15 +58,15 @@ TEST(WorkloadSpec, SizeSuffixes) {
 }
 
 TEST(WorkloadSpec, RejectsMalformedInput) {
-  EXPECT_THROW(WorkloadSpec::parse(""), std::invalid_argument);
-  EXPECT_THROW(WorkloadSpec::parse(",theta=0.9"), std::invalid_argument);
-  EXPECT_THROW(WorkloadSpec::parse("zipfian,=0.9"), std::invalid_argument);
+  EXPECT_THROW(parse_spec(""), std::invalid_argument);
+  EXPECT_THROW(parse_spec(",theta=0.9"), std::invalid_argument);
+  EXPECT_THROW(parse_spec("zipfian,=0.9"), std::invalid_argument);
   EXPECT_THROW(Workload::parse("trace:zipfian,theta=abc"), std::invalid_argument);
   // Sizes neither wrap a sign nor overflow 64 bits once scaled.
   EXPECT_THROW(Workload::parse("trace:sequential,footprint=-1"), common::InputError);
   EXPECT_THROW(Workload::parse("trace:sequential,footprint=99999999999999g"),
                common::InputError);
-  WorkloadSpec largest = WorkloadSpec::parse("x,a=17179869183g,b=17179869184g");
+  common::Spec largest = parse_spec("x,a=17179869183g,b=17179869184g");
   EXPECT_EQ(largest.get_size("a", 0), 17179869183ULL << 30);
   EXPECT_THROW(largest.get_size("b", 0), common::InputError);
 }

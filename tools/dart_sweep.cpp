@@ -85,7 +85,7 @@ int main(int argc, char** argv) try {
         spec.workloads.push_back(w.spec());
       }
     } else if (arg == "--prefetchers") {
-      spec.prefetchers = sim::split_spec_list(value());
+      spec.prefetchers = common::split_spec_list(value());
     } else if (arg == "--csv") {
       csv_path = value();
     } else if (arg == "--json") {
