@@ -202,18 +202,6 @@ std::string env_string(const char* name, const std::string& fallback) {
   return (v == nullptr || *v == '\0') ? fallback : std::string(v);
 }
 
-std::vector<std::string> env_list(const char* name) {
-  std::vector<std::string> out;
-  const char* v = std::getenv(name);
-  if (v == nullptr) return out;
-  std::stringstream ss(v);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 std::vector<std::string> unknown_knobs(const char* const* env) {
   std::vector<std::string> out;
   for (; env != nullptr && *env != nullptr; ++env) {

@@ -140,9 +140,6 @@ double env_double(const char* name, double fallback);
 /// empty.
 std::string env_string(const char* name, const std::string& fallback);
 
-/// Reads a comma-separated environment list; empty when unset.
-std::vector<std::string> env_list(const char* name);
-
 /// Every DART_* environment knob the code reads, sorted. README.md's knob
 /// table gives each one's default and the binaries that honor it; a knob
 /// added to the code is added here too.

@@ -230,7 +230,7 @@ ExperimentSpec ExperimentSpec::bench_defaults() {
 
 std::vector<trace::App> ExperimentSpec::env_apps() {
   std::vector<trace::App> apps;
-  for (const auto& name : common::env_list("DART_APPS")) {
+  for (const auto& name : common::split_spec_list(common::env_string("DART_APPS", ""))) {
     apps.push_back(trace::app_from_name(name));
   }
   return apps;

@@ -48,7 +48,7 @@ inline __m512i level_fetch(const std::int32_t* level, std::size_t width, __m512i
 /// carries the row's offset within its register pair, (r*R) mod 32; lane
 /// r's pair is fixed, so the pairs' results merge under constant masks.
 template <int R, int kRegs>
-inline __m512 pick(const __m512 (&reg)[kRegs], __m512i idx) {
+inline __m512 pick(const __m512* reg, __m512i idx) {
   if constexpr (kRegs == 1) {
     // The zero-masking form with a full mask is the same vpermps; it spares
     // GCC 12 a false -Wmaybe-uninitialized in the unmasked intrinsic.
@@ -65,6 +65,29 @@ inline __m512 pick(const __m512 (&reg)[kRegs], __m512i idx) {
   }
 }
 
+/// Turns R registers of 16 lanes, register j holding element j of rows
+/// 0..15 (the lanes), into the walk's row layout: row r's R floats at flat
+/// float r*R. Each round zips register k with register k + R/2, which
+/// rotates the flat index [j | r] left by one bit; log2(R) rounds rotate
+/// it to [r | j].
+template <int R>
+inline void rows_from_columns(__m512 (&reg)[R]) {
+  const __m512i lo = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+  const __m512i hi =
+      _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+#pragma GCC unroll 4
+  for (int round = 1; round < R; round *= 2) {
+    __m512 zipped[R];
+#pragma GCC unroll 8
+    for (int k = 0; k < R / 2; ++k) {
+      zipped[2 * k] = _mm512_permutex2var_ps(reg[k], lo, reg[k + R / 2]);
+      zipped[2 * k + 1] = _mm512_permutex2var_ps(reg[k], hi, reg[k + R / 2]);
+    }
+#pragma GCC unroll 16
+    for (int k = 0; k < R; ++k) reg[k] = zipped[k];
+  }
+}
+
 /// A uniform tree's per-level tables, as HashTreeEncoder derives them.
 struct LevelTables {
   const std::int32_t* dims;
@@ -75,31 +98,47 @@ struct LevelTables {
 /// Walks the `c` <= kRows rows at `group` down the tree, lane r holding row
 /// r's node, one level per step, and returns the leaf positions. R > 0
 /// keeps rows of V <= R floats (R a power of two) in registers, row r at
-/// float r*R; `base` is then (r*R) mod 32. R = 0 gathers each level's
-/// floats from memory, for wider rows; `base` is then r * row_stride. Spare
-/// lanes walk zeros.
+/// float r*R; `base` is then (r*R) mod 32. With `elem_stride` 1 the rows
+/// load one by one; otherwise the rows are columns (row stride 1) and
+/// their element j loads as one vector for all rows, then the registers
+/// are transposed. R = 0 gathers each level's floats from memory, for
+/// wider rows of unit element stride; `base` is then r * row_stride.
+/// Spare lanes walk zeros.
 template <int R, int kRows>
 inline __m512i walk_group(const LevelTables& t, __m512i base, __mmask16 row_mask,
-                          const float* group, std::size_t row_stride, std::size_t c) {
+                          const float* group, std::size_t row_stride, std::size_t elem_stride,
+                          std::size_t c) {
   constexpr int kRegs = R > 0 && R * kRows > 16 ? R * kRows / 16 : 1;
-  __m512 reg[kRegs];
+  const auto live = static_cast<__mmask16>((1u << c) - 1u);
+  __m512 reg[R > 0 ? R : 1];
   if constexpr (R > 0) {
-    for (int w = 0; w < kRegs; ++w) reg[w] = _mm512_setzero_ps();
+    for (int w = 0; w < R; ++w) reg[w] = _mm512_setzero_ps();
+    if (elem_stride != 1) {
+      // `row_mask` has one bit per element here; masked-off lanes read
+      // nothing past the last row.
 #pragma GCC unroll 16
-    for (std::size_t r = 0; r < kRows; ++r) {
-      if (r >= c) break;
-      // The expand load reads the row's V floats and forms no pointer
-      // before the row; a row with a register of its own loads plainly.
-      const std::size_t w = r * R / 16;
-      if constexpr (R == 16) {
-        reg[w] = _mm512_maskz_loadu_ps(row_mask, group + r * row_stride);
-      } else {
-        reg[w] = _mm512_mask_expandloadu_ps(
-            reg[w], static_cast<__mmask16>(row_mask << (r * R % 16)), group + r * row_stride);
+      for (int j = 0; j < R; ++j) {
+        if ((row_mask >> j & 1u) != 0) {
+          reg[j] = _mm512_maskz_loadu_ps(live, group + j * elem_stride);
+        }
+      }
+      rows_from_columns<R>(reg);
+    } else {
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < kRows; ++r) {
+        if (r >= c) break;
+        // The expand load reads the row's V floats and forms no pointer
+        // before the row; a row with a register of its own loads plainly.
+        const std::size_t w = r * R / 16;
+        if constexpr (R == 16) {
+          reg[w] = _mm512_maskz_loadu_ps(row_mask, group + r * row_stride);
+        } else {
+          reg[w] = _mm512_mask_expandloadu_ps(
+              reg[w], static_cast<__mmask16>(row_mask << (r * R % 16)), group + r * row_stride);
+        }
       }
     }
   }
-  const auto live = static_cast<__mmask16>((1u << c) - 1u);
   __m512i node = _mm512_setzero_si512();
   for (std::size_t l = 0, width = 1; l < t.depth; ++l, width *= 2) {
     const __m512i idx = _mm512_add_epi32(level_fetch(t.dims + width - 1, width, node), base);
@@ -130,8 +169,8 @@ inline __m512i walk_group(const LevelTables& t, __m512i base, __mmask16 row_mask
 /// at most 8 rows keeps only their registers. Stores real codes only.
 template <int R>
 void walk_lanes(const LevelTables& t, const std::int32_t* leaves, std::size_t v,
-                const float* rows, std::size_t row_stride, std::size_t n,
-                std::uint32_t* codes_out, std::size_t code_stride) {
+                const float* rows, std::size_t row_stride, std::size_t elem_stride,
+                std::size_t n, std::uint32_t* codes_out, std::size_t code_stride) {
   const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
   // The caller keeps 15 * row_stride + v inside int32.
   const __m512i base =
@@ -142,9 +181,9 @@ void walk_lanes(const LevelTables& t, const std::int32_t* leaves, std::size_t v,
   for (std::size_t i0 = 0; i0 < n; i0 += 16) {
     const std::size_t c = std::min<std::size_t>(16, n - i0);
     const float* group = rows + i0 * row_stride;
-    const __m512i node = c > 8
-                             ? walk_group<R, 16>(t, base, row_mask, group, row_stride, c)
-                             : walk_group<R, 8>(t, base, row_mask, group, row_stride, c);
+    const __m512i node =
+        c > 8 ? walk_group<R, 16>(t, base, row_mask, group, row_stride, elem_stride, c)
+              : walk_group<R, 8>(t, base, row_mask, group, row_stride, elem_stride, c);
     const auto live = static_cast<__mmask16>((1u << c) - 1u);
     const __m512i code =
         _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), live, node, leaves, 4);
@@ -161,13 +200,6 @@ void walk_lanes(const LevelTables& t, const std::int32_t* leaves, std::size_t v,
 }  // namespace
 #endif
 
-void Encoder::encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
-                           std::uint32_t* codes_out, std::size_t code_stride) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    codes_out[i * code_stride] = encode(rows + i * row_stride);
-  }
-}
-
 ExactEncoder::ExactEncoder(nn::Tensor prototypes) : prototypes_(std::move(prototypes)) {
   if (prototypes_.ndim() != 2) throw std::invalid_argument("ExactEncoder: prototypes must be 2-D");
   const std::size_t k = prototypes_.dim(0), v = prototypes_.dim(1);
@@ -180,7 +212,7 @@ ExactEncoder::ExactEncoder(nn::Tensor prototypes) : prototypes_(std::move(protot
   }
 }
 
-std::uint32_t ExactEncoder::encode(const float* row) const {
+std::uint32_t ExactEncoder::nearest(const float* row, std::size_t elem_stride) const {
   const std::size_t k = prototypes_.dim(0), v = prototypes_.dim(1);
   const float* protos = prototypes_.data();
   std::uint32_t best = 0;
@@ -188,7 +220,7 @@ std::uint32_t ExactEncoder::encode(const float* row) const {
   for (std::size_t c = 0; c < k; ++c) {
     const float* p = protos + c * v;
     float dot = 0.0f;
-    for (std::size_t j = 0; j < v; ++j) dot += row[j] * p[j];
+    for (std::size_t j = 0; j < v; ++j) dot += row[j * elem_stride] * p[j];
     const float d = half_norms_[c] - dot;
     if (d < best_d) {
       best_d = d;
@@ -196,6 +228,16 @@ std::uint32_t ExactEncoder::encode(const float* row) const {
     }
   }
   return best;
+}
+
+std::uint32_t ExactEncoder::encode(const float* row) const { return nearest(row, 1); }
+
+void ExactEncoder::encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
+                                std::uint32_t* codes_out, std::size_t code_stride,
+                                std::size_t elem_stride) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    codes_out[i * code_stride] = nearest(rows + i * row_stride, elem_stride);
+  }
 }
 
 HashTreeEncoder::HashTreeEncoder(const nn::Tensor& prototypes) {
@@ -328,10 +370,14 @@ std::uint32_t HashTreeEncoder::encode(const float* row) const {
 }
 
 void HashTreeEncoder::encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
-                                   std::uint32_t* codes_out, std::size_t code_stride) const {
+                                   std::uint32_t* codes_out, std::size_t code_stride,
+                                   std::size_t elem_stride) const {
 #if DART_HASH_TREE_SIMD
-  // The lane walk's gathers index a group of 16 rows with int32 offsets.
-  if (!level_dims_.empty() && row_stride <= (0x7fffffffu - v_) / 15) {
+  // The lane walk's gathers index a group of 16 rows with int32 offsets;
+  // strided rows must be columns (row stride 1) of at most 16 floats.
+  const bool lanes = elem_stride == 1 ? row_stride <= (0x7fffffffu - v_) / 15
+                                      : row_stride == 1 && v_ <= 16;
+  if (!level_dims_.empty() && lanes) {
     const LevelTables t{level_dims_.data(), level_thresholds_.data(), depth_};
     const std::int32_t* leaves = protos_.data() + ((std::size_t{1} << depth_) - 1);
     const auto walk = v_ <= 1    ? walk_lanes<1>
@@ -340,7 +386,7 @@ void HashTreeEncoder::encode_batch(const float* rows, std::size_t row_stride, st
                       : v_ <= 8  ? walk_lanes<8>
                       : v_ <= 16 ? walk_lanes<16>
                                  : walk_lanes<0>;
-    walk(t, leaves, v_, rows, row_stride, n, codes_out, code_stride);
+    walk(t, leaves, v_, rows, row_stride, elem_stride, n, codes_out, code_stride);
     return;
   }
 #endif
@@ -359,7 +405,7 @@ void HashTreeEncoder::encode_batch(const float* rows, std::size_t row_stride, st
       for (std::size_t l = 0; l < depth_; ++l) {
         for (std::size_t j = 0; j < c; ++j) {
           const HotNode nd = hot[idx[j]];
-          const float x = rows[(i0 + j) * row_stride + nd.split_dim];
+          const float x = rows[(i0 + j) * row_stride + nd.split_dim * elem_stride];
           idx[j] = 2 * idx[j] + 1 + static_cast<std::size_t>(x > nd.threshold);
         }
       }
@@ -374,7 +420,8 @@ void HashTreeEncoder::encode_batch(const float* rows, std::size_t row_stride, st
     std::size_t idx = 0;
     while (leaf[idx] < 0) {
       const HotNode nd = hot[idx];
-      idx = 2 * idx + 1 + static_cast<std::size_t>(row[nd.split_dim] > nd.threshold);
+      idx = 2 * idx + 1 +
+            static_cast<std::size_t>(row[nd.split_dim * elem_stride] > nd.threshold);
     }
     codes_out[i * code_stride] = static_cast<std::uint32_t>(leaf[idx]);
   }

@@ -34,11 +34,14 @@ class Encoder {
   virtual std::uint32_t encode(const float* row) const = 0;
 
   /// Encodes `n` rows starting at `rows`, consecutive rows `row_stride`
-  /// floats apart (so a subspace of a wider matrix can be encoded without
-  /// slicing). Writes codes to `codes_out[0], codes_out[code_stride], ...`.
-  /// Must produce exactly the same codes as per-row `encode`.
+  /// floats apart and a row's V floats `elem_stride` apart (so a subspace
+  /// of a wider matrix, or a column of one, can be encoded without a
+  /// copy). Writes codes to `codes_out[0], codes_out[code_stride], ...`.
+  /// Must produce exactly the same codes as per-row `encode` of each row
+  /// copied out contiguously.
   virtual void encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
-                            std::uint32_t* codes_out, std::size_t code_stride = 1) const;
+                            std::uint32_t* codes_out, std::size_t code_stride = 1,
+                            std::size_t elem_stride = 1) const = 0;
 
   virtual std::size_t num_prototypes() const = 0;
   virtual std::size_t vec_dim() const = 0;
@@ -52,9 +55,12 @@ class ExactEncoder final : public Encoder {
  public:
   explicit ExactEncoder(nn::Tensor prototypes);
 
-  // encode_batch: inherited per-row loop — the O(K·V) argmin dwarfs the
-  // virtual call, so a dedicated batch loop buys nothing here.
   std::uint32_t encode(const float* row) const override;
+  /// The per-row argmin in a loop: the O(K·V) argmin dwarfs the virtual
+  /// call, so a vector batch loop buys nothing here.
+  void encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
+                    std::uint32_t* codes_out, std::size_t code_stride = 1,
+                    std::size_t elem_stride = 1) const override;
   std::size_t num_prototypes() const override { return prototypes_.dim(0); }
   std::size_t vec_dim() const override { return prototypes_.dim(1); }
   std::size_t comparisons_per_encode() const override {
@@ -64,6 +70,9 @@ class ExactEncoder final : public Encoder {
   const nn::Tensor& prototypes() const { return prototypes_; }
 
  private:
+  /// The argmin over a row whose floats lie `elem_stride` apart.
+  std::uint32_t nearest(const float* row, std::size_t elem_stride) const;
+
   nn::Tensor prototypes_;
   // half_norms_[k] = ||P_k||²/2, so argmin_k ||x−P_k||² = argmin_k
   // (half_norms_[k] − x·P_k): the ||x||² term is row-constant and drops out.
@@ -102,7 +111,8 @@ class HashTreeEncoder final : public Encoder {
 
   std::uint32_t encode(const float* row) const override;
   void encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
-                    std::uint32_t* codes_out, std::size_t code_stride) const override;
+                    std::uint32_t* codes_out, std::size_t code_stride = 1,
+                    std::size_t elem_stride = 1) const override;
   std::size_t num_prototypes() const override { return k_; }
   std::size_t vec_dim() const override { return v_; }
   std::size_t comparisons_per_encode() const override { return depth_; }

@@ -307,18 +307,16 @@ void AttentionKernel::query_batch_into(const float* q, std::size_t q_stride, con
   for (std::size_t c = 0; c < ct; ++c) {
     s_encoders_[c]->encode_batch(scores + c * sub_t_, t_len_, rows, sc + c * rows);
   }
-  // Transpose each sample's V to [Dk, T] so its columns become encoder rows.
-  float* vt = ws.floats(vrows * t_len_);
+  // V's columns are encoder rows read in place: column d of sample s
+  // starts at v + s*T*v_stride + d, its T floats v_stride apart. Rows are
+  // 1 float apart within a sample only, so each sample is one call per
+  // subspace.
   for (std::size_t s = 0; s < n; ++s) {
-    float* vts = vt + s * dk_ * t_len_;
     const float* vs = v + s * t_len_ * v_stride;
-    for (std::size_t t = 0; t < t_len_; ++t) {
-      const float* vrow = vs + t * v_stride;
-      for (std::size_t d = 0; d < dk_; ++d) vts[d * t_len_ + t] = vrow[d];
+    for (std::size_t c = 0; c < ct; ++c) {
+      v_encoders_[c]->encode_batch(vs + c * sub_t_ * v_stride, 1, dk_, vc + c * vrows + s * dk_,
+                                   1, v_stride);
     }
-  }
-  for (std::size_t c = 0; c < ct; ++c) {
-    v_encoders_[c]->encode_batch(vt + c * sub_t_, t_len_, vrows, vc + c * vrows);
   }
 
   // ---- Final lookups + aggregation (Eq. 15), per sample ------------------

@@ -102,7 +102,7 @@ class AttentionKernel {
 
   /// Workspace demand of one single-sample `query_into` (floats, codes);
   /// the block variant scales both by the sample count.
-  std::size_t float_slots() const { return t_len_ * t_len_ + dk_ * t_len_; }
+  std::size_t float_slots() const { return t_len_ * t_len_; }
   std::size_t code_slots() const {
     return 2 * config_.ck * t_len_ + config_.ct * (t_len_ + dk_);
   }

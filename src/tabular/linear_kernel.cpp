@@ -7,7 +7,7 @@
 #include "common/thread_pool.hpp"
 #include "pq/kmeans.hpp"
 
-#if defined(__AVX512F__)
+#if defined(__AVX512F__) && defined(__FMA__)
 #include <immintrin.h>
 #define DART_AGG_SIMD 1
 #else
@@ -15,6 +15,66 @@
 #endif
 
 namespace dart::tabular {
+
+namespace {
+
+/// A kernel's [C][K][DO] table as the aggregation loops read it.
+struct TableView {
+  const float* tbl;
+  std::size_t k, c_count, dout;
+
+  /// Subspace c's table row for row i of a call over n rows, whose codes
+  /// are subspace-major (codes[c * n + i]).
+  const float* row(const std::uint32_t* codes, std::size_t n, std::size_t c,
+                   std::size_t i) const {
+    return tbl + (c * k + codes[c * n + i]) * dout;
+  }
+};
+
+#if DART_AGG_SIMD
+inline __mmask16 tail_mask(std::size_t left) {
+  return left >= 16 ? __mmask16(0xFFFF) : static_cast<__mmask16>((1u << left) - 1u);
+}
+
+/// Columns o.. under `mask` of row i's aggregate: subspace 0's table row
+/// `t0` (the bias is folded there) plus the later subspaces' rows in c
+/// order.
+inline __m512 aggregate16(const TableView& t, const std::uint32_t* codes, std::size_t n,
+                          std::size_t i, const float* t0, std::size_t o, __mmask16 mask) {
+  __m512 acc = _mm512_maskz_loadu_ps(mask, t0 + o);
+  for (std::size_t c = 1; c < t.c_count; ++c) {
+    acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(mask, t.row(codes, n, c, i) + o));
+  }
+  return acc;
+}
+
+/// The aggregation with epilogue E, each row's chunks stored once.
+template <Epilogue::Kind E>
+void aggregate_rows(const TableView& t, const std::uint32_t* codes, std::size_t n, float* out,
+                    std::size_t out_stride, const Epilogue& ep) {
+  std::size_t r = 0;  // residual row: i mod period
+  for (std::size_t i = 0; i < n; ++i) {
+    float* orow = out + i * out_stride;
+    const float* t0 = t.row(codes, n, 0, i);
+    const float* res = nullptr;
+    if constexpr (E == Epilogue::Kind::kAdd) res = ep.rows + r * ep.stride;
+    for (std::size_t o = 0; o < t.dout; o += 16) {
+      const __mmask16 mask = tail_mask(t.dout - o);
+      __m512 acc = aggregate16(t, codes, n, i, t0, o, mask);
+      if constexpr (E == Epilogue::Kind::kAdd) {
+        acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(mask, res + o));
+      } else if constexpr (E == Epilogue::Kind::kRelu) {
+        // v > 0 ? v : 0, the compare false for NaN.
+        acc = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(acc, _mm512_setzero_ps(), _CMP_GT_OQ), acc);
+      }
+      _mm512_mask_storeu_ps(orow + o, mask, acc);
+    }
+    if (E == Epilogue::Kind::kAdd && ++r == ep.period) r = 0;
+  }
+}
+#endif
+
+}  // namespace
 
 LinearKernel::LinearKernel(const nn::Tensor& weight, const nn::Tensor& bias,
                            const nn::Tensor& training_rows, const KernelConfig& config)
@@ -117,44 +177,98 @@ LinearKernel LinearKernel::fused(std::size_t in_dim, std::size_t out_dim,
                     std::move(encoders));
 }
 
-void LinearKernel::query_into(const float* rows, std::size_t n, std::size_t row_stride,
-                              float* out, std::size_t out_stride,
-                              InferenceWorkspace& ws) const {
-  const std::size_t k = config_.num_prototypes;
-  const std::size_t c_count = config_.num_subspaces;
-  const auto m = ws.mark();
-  // Codes in subspace-major (SoA) order: codes[c * n + i].
-  std::uint32_t* codes = ws.codes(c_count * n);
-  for (std::size_t c = 0; c < c_count; ++c) {
+std::uint32_t* LinearKernel::encode_rows(const float* rows, std::size_t n,
+                                        std::size_t row_stride, InferenceWorkspace& ws) const {
+  std::uint32_t* codes = ws.codes(config_.num_subspaces * n);
+  for (std::size_t c = 0; c < config_.num_subspaces; ++c) {
     encoders_[c]->encode_batch(rows + c * sub_dim_, row_stride, n, codes + c * n);
   }
-  const float* tbl = table_.data();
+  return codes;
+}
+
+void LinearKernel::query_into(const float* rows, std::size_t n, std::size_t row_stride,
+                              float* out, std::size_t out_stride, InferenceWorkspace& ws,
+                              const Epilogue& epilogue) const {
+  const auto m = ws.mark();
+  const std::uint32_t* codes = encode_rows(rows, n, row_stride, ws);
+  const TableView t{table_.data(), config_.num_prototypes, config_.num_subspaces, out_dim_};
+#if DART_AGG_SIMD
+  // The sums in registers: per chunk of 16 columns, subspace 0's row plus
+  // the later subspaces in c order, then the epilogue, stored once.
+  switch (epilogue.kind) {
+    case Epilogue::Kind::kNone:
+      aggregate_rows<Epilogue::Kind::kNone>(t, codes, n, out, out_stride, epilogue);
+      break;
+    case Epilogue::Kind::kAdd:
+      aggregate_rows<Epilogue::Kind::kAdd>(t, codes, n, out, out_stride, epilogue);
+      break;
+    case Epilogue::Kind::kRelu:
+      aggregate_rows<Epilogue::Kind::kRelu>(t, codes, n, out, out_stride, epilogue);
+      break;
+  }
+#else
+  std::size_t r = 0;  // residual row: i mod period
   for (std::size_t i = 0; i < n; ++i) {
     float* orow = out + i * out_stride;
     // Subspace 0 initializes (bias is folded there), the rest accumulate:
     // C contiguous row-adds of length DO.
-    const float* t0 = tbl + codes[i] * out_dim_;
+    const float* t0 = t.row(codes, n, 0, i);
+    std::copy(t0, t0 + out_dim_, orow);
+    for (std::size_t c = 1; c < t.c_count; ++c) {
+      const float* tc = t.row(codes, n, c, i);
+      for (std::size_t o = 0; o < out_dim_; ++o) orow[o] += tc[o];
+    }
+    if (epilogue.kind == Epilogue::Kind::kAdd) {
+      const float* res = epilogue.rows + r * epilogue.stride;
+      for (std::size_t o = 0; o < out_dim_; ++o) orow[o] += res[o];
+      if (++r == epilogue.period) r = 0;
+    } else if (epilogue.kind == Epilogue::Kind::kRelu) {
+      for (std::size_t o = 0; o < out_dim_; ++o) orow[o] = orow[o] > 0.0f ? orow[o] : 0.0f;
+    }
+  }
+#endif
+  ws.rewind(m);
+}
+
+void LinearKernel::query_mean_into(const float* rows, std::size_t samples, std::size_t t_len,
+                                   std::size_t row_stride, float* out, std::size_t out_stride,
+                                   InferenceWorkspace& ws) const {
+  const std::size_t n = samples * t_len;
+  const auto m = ws.mark();
+  const std::uint32_t* codes = encode_rows(rows, n, row_stride, ws);
+  const TableView t{table_.data(), config_.num_prototypes, config_.num_subspaces, out_dim_};
+  const float inv_t = 1.0f / static_cast<float>(t_len);
 #if DART_AGG_SIMD
-    // The same sums in registers: per chunk of 16 columns, subspace 0's
-    // row plus the later subspaces in c order, stored once.
+  // Per chunk of 16 outputs, the sample's rows aggregate in registers and
+  // fold into the sum one FMA each, in t order from +0.
+  const __m512 inv = _mm512_set1_ps(inv_t);
+  for (std::size_t s = 0; s < samples; ++s) {
+    float* orow = out + s * out_stride;
     for (std::size_t o = 0; o < out_dim_; o += 16) {
-      const auto mask = out_dim_ - o >= 16 ? __mmask16(0xFFFF)
-                                           : static_cast<__mmask16>((1u << (out_dim_ - o)) - 1u);
-      __m512 acc = _mm512_maskz_loadu_ps(mask, t0 + o);
-      for (std::size_t c = 1; c < c_count; ++c) {
-        const float* tc = tbl + (c * k + codes[c * n + i]) * out_dim_;
-        acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(mask, tc + o));
+      const __mmask16 mask = tail_mask(out_dim_ - o);
+      __m512 acc = _mm512_setzero_ps();
+      for (std::size_t i = s * t_len; i < (s + 1) * t_len; ++i) {
+        acc = _mm512_fmadd_ps(aggregate16(t, codes, n, i, t.row(codes, n, 0, i), o, mask), inv,
+                              acc);
       }
       _mm512_mask_storeu_ps(orow + o, mask, acc);
     }
-#else
-    std::copy(t0, t0 + out_dim_, orow);
-    for (std::size_t c = 1; c < c_count; ++c) {
-      const float* tc = tbl + (c * k + codes[c * n + i]) * out_dim_;
-      for (std::size_t o = 0; o < out_dim_; ++o) orow[o] += tc[o];
-    }
-#endif
   }
+#else
+  for (std::size_t s = 0; s < samples; ++s) {
+    float* orow = out + s * out_stride;
+    std::fill(orow, orow + out_dim_, 0.0f);
+    for (std::size_t tt = 0; tt < t_len; ++tt) {
+      const std::size_t i = s * t_len + tt;
+      const float* t0 = t.row(codes, n, 0, i);
+      for (std::size_t o = 0; o < out_dim_; ++o) {
+        float v = t0[o];
+        for (std::size_t c = 1; c < t.c_count; ++c) v += t.row(codes, n, c, i)[o];
+        orow[o] += v * inv_t;
+      }
+    }
+  }
+#endif
   ws.rewind(m);
 }
 

@@ -36,6 +36,27 @@
 
 namespace dart::tabular {
 
+/// What `LinearKernel::query_into` does to each aggregated row in
+/// registers before its one store (DESIGN.md §6): nothing, add a residual
+/// row, or ReLU. Each is the elementwise step a caller would otherwise run
+/// as its own pass over the stored rows, with the same arithmetic.
+struct Epilogue {
+  enum class Kind { kNone, kAdd, kRelu };
+  Kind kind = Kind::kNone;
+  const float* rows = nullptr;  ///< kAdd: the residual rows
+  std::size_t stride = 0;       ///< kAdd: floats between residual rows
+  std::size_t period = 0;       ///< kAdd: row i adds row i mod period (0: row i)
+
+  /// out_i = agg_i + rows[(i mod period) * stride ...], agg first; the
+  /// residual must not overlap the output. A period of T adds a [T, DO]
+  /// positional encoding to every sample of a block.
+  static Epilogue add(const float* rows, std::size_t stride, std::size_t period = 0) {
+    return {Kind::kAdd, rows, stride, period};
+  }
+  /// out = agg > 0 ? agg : 0, so NaN and -0 give +0.
+  static Epilogue relu() { return {Kind::kRelu, nullptr, 0, 0}; }
+};
+
 /// Training-time configuration of one linear kernel: the <K, C> table
 /// geometry plus the prototype-learning knobs.
 struct KernelConfig {
@@ -77,11 +98,23 @@ class LinearKernel {
                             const nn::Tensor& training_rows, const KernelConfig& config);
 
   /// Zero-allocation hot path: applies the kernel to `n` rows starting at
-  /// `rows` (consecutive rows `row_stride` floats apart) and writes row i's
-  /// DO outputs at `out + i * out_stride`. Strictly serial — callers own
-  /// all parallelism (DESIGN.md §6) — and allocates only from `ws`.
+  /// `rows` (consecutive rows `row_stride` floats apart), applies
+  /// `epilogue` to each aggregated row and writes row i's DO outputs at
+  /// `out + i * out_stride`. Strictly serial — callers own all parallelism
+  /// (DESIGN.md §6) — and allocates only from `ws`.
   void query_into(const float* rows, std::size_t n, std::size_t row_stride, float* out,
-                  std::size_t out_stride, InferenceWorkspace& ws) const;
+                  std::size_t out_stride, InferenceWorkspace& ws,
+                  const Epilogue& epilogue = {}) const;
+
+  /// The mean over each sample's rows, for an output head: `samples` blocks
+  /// of `t_len` consecutive rows; writes sample s's DO outputs at
+  /// `out + s * out_stride`, the sum in t order of each aggregated row
+  /// times 1/t_len from 0. With AVX-512 and FMA each step is one fused
+  /// multiply-add; the portable path keeps `acc += row * inv_t` (DESIGN.md
+  /// §6). No per-row buffer; serial; allocates only from `ws`.
+  void query_mean_into(const float* rows, std::size_t samples, std::size_t t_len,
+                       std::size_t row_stride, float* out, std::size_t out_stride,
+                       InferenceWorkspace& ws) const;
 
   /// Applies the kernel to [T, DI] (or [M, DI]) rows -> [T, DO].
   /// Pure lookups + aggregation; no multiplications with weights.
@@ -119,6 +152,10 @@ class LinearKernel {
 
  private:
   LinearKernel() = default;  // from_parts fills every member
+
+  /// Encodes `n` rows into `ws` codes, subspace-major: codes[c * n + i].
+  std::uint32_t* encode_rows(const float* rows, std::size_t n, std::size_t row_stride,
+                             InferenceWorkspace& ws) const;
 
   KernelConfig config_;
   std::size_t in_dim_ = 0;

@@ -202,11 +202,10 @@ TabularArch TabularPredictor::tabular_arch(std::size_t samples) const {
   ta.heads = arch_.heads;
   ta.layers = arch_.layers;
   const std::size_t t = ta.seq_len;
-  // Persistent per-sample activations: x, scratch, qkv, concat, hidden,
-  // per-token head output (see forward_sample_into). Attention adds a
-  // transient score matrix + transposed V per head.
-  ta.float_slots = t * (2 * ta.dim + 3 * ta.dim + ta.dim + ta.ffn_dim + ta.out_dim) +
-                   ta.out_dim + t * t + ta.head_dim() * t + 64;
+  // Persistent per-sample activations: x, scratch, qkv, concat, hidden
+  // (see forward_block_into). Attention adds a transient score matrix per
+  // head.
+  ta.float_slots = t * (2 * ta.dim + 3 * ta.dim + ta.dim + ta.ffn_dim) + ta.out_dim + t * t + 64;
   // Codes are transient per kernel call (mark/rewind), so the demand is the
   // max over kernels, not the sum.
   std::size_t codes = 0;
@@ -247,18 +246,14 @@ void TabularPredictor::forward_block_into(const float* addr, const float* pc, st
   const std::size_t rows = n * t_len;  // all kernels operate row-wise
   const auto frame = ws.mark();
 
-  // Embedding: two linear kernels over all rows + positional encoding
-  // (broadcast per sample), summed in place.
+  // Every elementwise step is a kernel epilogue (DESIGN.md §6). Embedding:
+  // pc's store adds the positional encoding (row t of every sample), and
+  // addr's store adds that sum, x = addr + (pc + pos).
   float* x = ws.floats(rows * d);
   float* tmp = ws.floats(rows * d);  // reused for attention/FFN outputs
-  addr_kernel->query_into(addr, rows, arch_.addr_dim, x, d, ws);
-  pc_kernel->query_into(pc, rows, arch_.pc_dim, tmp, d, ws);
-  const float* pos = pos_encoding.data();
-  for (std::size_t s = 0; s < n; ++s) {
-    float* xs = x + s * t_len * d;
-    const float* ts = tmp + s * t_len * d;
-    for (std::size_t i = 0; i < t_len * d; ++i) xs[i] += ts[i] + pos[i];
-  }
+  pc_kernel->query_into(pc, rows, arch_.pc_dim, tmp, d, ws,
+                        Epilogue::add(pos_encoding.data(), d, t_len));
+  addr_kernel->query_into(addr, rows, arch_.addr_dim, x, d, ws, Epilogue::add(tmp, d));
 
   for (const auto& layer : layers) {
     const auto layer_frame = ws.mark();
@@ -273,38 +268,22 @@ void TabularPredictor::forward_block_into(const float* addr, const float* pc, st
                                        qkv + 2 * d + h * dh, 3 * d,  // v
                                        n, concat + h * dh, d, ws);
     }
-    // Output projection + residual + LN1 (normalized back into x).
-    layer.out_proj->query_into(concat, rows, d, tmp, d, ws);
-    for (std::size_t i = 0; i < rows * d; ++i) tmp[i] += x[i];
+    // Output projection + residual, LN1 (normalized back into x).
+    layer.out_proj->query_into(concat, rows, d, tmp, d, ws, Epilogue::add(x, d));
     layer.ln1.apply_into(tmp, x, rows);
-    // FFN: hidden kernel -> exact ReLU -> output kernel + residual + LN2.
+    // FFN: hidden kernel + exact ReLU, output kernel + residual, LN2.
     float* hidden = ws.floats(rows * arch_.ffn_dim);
-    layer.ffn_hidden->query_into(x, rows, d, hidden, arch_.ffn_dim, ws);
-    for (std::size_t i = 0; i < rows * arch_.ffn_dim; ++i) {
-      hidden[i] = hidden[i] > 0.0f ? hidden[i] : 0.0f;
-    }
-    layer.ffn_out->query_into(hidden, rows, arch_.ffn_dim, tmp, d, ws);
-    for (std::size_t i = 0; i < rows * d; ++i) tmp[i] += x[i];
+    layer.ffn_hidden->query_into(x, rows, d, hidden, arch_.ffn_dim, ws, Epilogue::relu());
+    layer.ffn_out->query_into(hidden, rows, arch_.ffn_dim, tmp, d, ws, Epilogue::add(x, d));
     layer.ln2.apply_into(tmp, x, rows);
     ws.rewind(layer_frame);
   }
 
   final_ln.apply_into(x, x, rows);
+  // Head: each sample's mean over its T rows, then the sigmoid LUT.
   const std::size_t out_d = arch_.out_dim;
-  float* per_token = ws.floats(rows * out_d);
-  head_kernel->query_into(x, rows, d, per_token, out_d, ws);
-  // Mean pool + sigmoid LUT, per sample.
-  const float inv_t = 1.0f / static_cast<float>(t_len);
-  for (std::size_t s = 0; s < n; ++s) {
-    float* probs = probs_out + s * out_d;
-    const float* pt = per_token + s * t_len * out_d;
-    for (std::size_t j = 0; j < out_d; ++j) probs[j] = 0.0f;
-    for (std::size_t t = 0; t < t_len; ++t) {
-      const float* row = pt + t * out_d;
-      for (std::size_t j = 0; j < out_d; ++j) probs[j] += row[j] * inv_t;
-    }
-    sigmoid_lut.apply_batch(probs, out_d, probs);
-  }
+  head_kernel->query_mean_into(x, n, t_len, d, probs_out, out_d, ws);
+  sigmoid_lut.apply_batch(probs_out, n * out_d, probs_out);
   ws.rewind(frame);
 }
 

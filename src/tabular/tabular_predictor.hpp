@@ -6,9 +6,11 @@
 // Query-path design (DESIGN.md §6): the hot path is
 // `forward_sample_into(addr, pc, probs, ws)` — raw pointers in, raw
 // pointers out, all scratch from a per-thread `InferenceWorkspace`, zero
-// heap allocations and zero tensor copies (per-head q/k/v are strided views
-// into the packed QKV activation). `forward` is the ONLY place that forks
-// the thread pool; every kernel underneath runs serial.
+// heap allocations and zero tensor copies (per-head q/k/v, V's columns
+// included, are strided views into the packed QKV activation; positional
+// add, residuals, ReLU and the head's mean pool are kernel epilogues).
+// `forward` is the ONLY place that forks the thread pool; every kernel
+// underneath runs serial.
 #pragma once
 
 #include <memory>

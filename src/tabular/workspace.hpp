@@ -34,9 +34,6 @@ struct TabularArch {
   std::size_t layers = 0;       ///< encoder layers
   std::size_t float_slots = 0;  ///< peak float scratch per sample
   std::size_t code_slots = 0;   ///< peak uint32 scratch per sample
-
-  /// Per-head width D / heads (0 for a head-less shell).
-  std::size_t head_dim() const { return heads == 0 ? 0 : dim / heads; }
 };
 
 /// The per-thread inference arena of the file comment: a bump allocator

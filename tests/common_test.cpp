@@ -423,15 +423,6 @@ TEST(Env, DoubleParses) {
   EXPECT_DOUBLE_EQ(env_double("DART_TEST_DBL", 1.0), 1.0);
 }
 
-TEST(Env, ListSplitsOnComma) {
-  ::setenv("DART_TEST_LIST", "a,b,,c", 1);
-  const auto items = env_list("DART_TEST_LIST");
-  ASSERT_EQ(items.size(), 3u);
-  EXPECT_EQ(items[0], "a");
-  EXPECT_EQ(items[2], "c");
-  ::unsetenv("DART_TEST_LIST");
-}
-
 TEST(Env, KnobListIsSortedAndUnique) {
   EXPECT_TRUE(std::is_sorted(std::begin(kKnobs), std::end(kKnobs)));
   EXPECT_EQ(std::adjacent_find(std::begin(kKnobs), std::end(kKnobs)), std::end(kKnobs));
@@ -556,8 +547,13 @@ TEST(SplitSpecList, HandlesLegacyAndSpecLists) {
   const auto single = split_spec_list("stride:table=64,degree=2");
   ASSERT_EQ(single.size(), 1u);
   EXPECT_EQ(split_spec_list("zipfian,theta=0.9"), (std::vector<std::string>{"zipfian,theta=0.9"}));
-  // Items are trimmed and empty ones dropped.
+  // Items are trimmed and empty ones dropped, as in a DART_APPS list.
   EXPECT_EQ(split_spec_list(" bo , isb,,"), (std::vector<std::string>{"bo", "isb"}));
+  EXPECT_EQ(split_spec_list("a,b,,c"), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(split_spec_list("462.libquantum, 605.mcf"),
+            (std::vector<std::string>{"462.libquantum", "605.mcf"}));
+  EXPECT_EQ(split_spec_list("462.libquantum;605.mcf"),
+            (std::vector<std::string>{"462.libquantum", "605.mcf"}));
   EXPECT_TRUE(split_spec_list(" ; ").empty());
 }
 

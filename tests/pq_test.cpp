@@ -231,5 +231,52 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(16, 64, 128, 256, 1024, 100),
                        ::testing::Values(1, 4, 8, 16, 17, 32, 64, 65)));
 
+// encode_batch reading each row's floats `elem_stride` apart, as the
+// attention kernel reads V's columns in place, against per-row `encode` of
+// the row copied out contiguously. Row stride 1 (columns) takes the vector
+// walk's loads and in-register transpose for V <= 16; row stride 2 and
+// V = 64 take the portable walk. Both encoders, both code strides.
+TEST_P(HashTreeBatch, ElementStrideMatchesCopiedRows) {
+  const auto [k, v] = GetParam();
+  const nn::Tensor protos = nn::Tensor::randn({k, v}, 1.0f, 7 + k + v);
+  const HashTreeEncoder tree(protos);
+  const ExactEncoder exact(protos);
+  constexpr std::uint32_t kUntouched = 0xDEADBEEFu;
+  for (const std::size_t n : {1, 8, 9, 16, 17, 256}) {
+    const std::vector<float> rows = edge_rows(tree, n, v, v, 200 + n);
+    for (const std::size_t row_stride : {std::size_t{1}, std::size_t{2}}) {
+      const std::size_t elem_stride = row_stride * n + 3;
+      // Exactly the floats the rows span, the gaps holding other values.
+      const nn::Tensor noise =
+          nn::Tensor::randn({(n - 1) * row_stride + (v - 1) * elem_stride + 1}, 2.0f, 300 + n);
+      std::vector<float> strided(noise.data(), noise.data() + noise.numel());
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < v; ++j) {
+          strided[i * row_stride + j * elem_stride] = rows[i * v + j];
+        }
+      }
+      for (const Encoder* enc : {static_cast<const Encoder*>(&tree),
+                                 static_cast<const Encoder*>(&exact)}) {
+        for (const std::size_t cs : {std::size_t{1}, std::size_t{3}}) {
+          std::vector<std::uint32_t> codes(n * cs, kUntouched);
+          enc->encode_batch(strided.data(), row_stride, n, codes.data(), cs, elem_stride);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(codes[i * cs], enc->encode(rows.data() + i * v))
+                << (enc == &tree ? "hash tree" : "exact") << " K=" << k << " V=" << v
+                << " n=" << n << " row stride " << row_stride << " row " << i
+                << " code_stride " << cs;
+            for (std::size_t g = 1; g < cs; ++g) ASSERT_EQ(codes[i * cs + g], kUntouched);
+          }
+        }
+      }
+    }
+  }
+}
+
+// V = 2 rows (a transpose of one zip round) for both tests above.
+INSTANTIATE_TEST_SUITE_P(Pairs, HashTreeBatch,
+                         ::testing::Combine(::testing::Values(16, 128, 100),
+                                            ::testing::Values(2)));
+
 }  // namespace
 }  // namespace dart::pq

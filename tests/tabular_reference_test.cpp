@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -210,6 +212,128 @@ TEST_P(LinearKernelGolden, EncodeBatchMatchesScalarEncode) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Encoders, LinearKernelGolden,
+                         ::testing::Values(pq::EncoderKind::kExact, pq::EncoderKind::kHashTree));
+
+/// Bit equality, with any NaN equal to any NaN.
+bool same_float(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) || std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+/// A kernel over DI = 16 whose table holds NaN, +-inf and -0 among random
+/// entries, so aggregated rows (and ReLU inputs) hold them too. Only
+/// subspace 0's first 8 prototypes carry them, so most sums stay finite.
+LinearKernel special_kernel(std::size_t dout, std::size_t c_count, pq::EncoderKind kind) {
+  const std::size_t di = 16, k = 32;
+  KernelConfig cfg;
+  cfg.num_prototypes = k;
+  cfg.num_subspaces = c_count;
+  cfg.encoder = kind;
+  const nn::Tensor noise = nn::Tensor::randn({c_count * k * dout}, 1.0f, 180 + dout + c_count);
+  std::vector<float> table(noise.data(), noise.data() + noise.numel());
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f};
+  for (std::size_t p = 0; p < 8; ++p) {
+    for (std::size_t o = 0; o < dout; ++o) {
+      if ((o + p) % 6 < 4) table[p * dout + o] = specials[(o + p) % 6];
+    }
+  }
+  std::vector<std::unique_ptr<pq::Encoder>> encoders;
+  for (std::size_t c = 0; c < c_count; ++c) {
+    encoders.push_back(
+        pq::make_encoder(kind, nn::Tensor::randn({k, di / c_count}, 1.0f, 190 + c)));
+  }
+  return LinearKernel::from_parts(cfg, di, dout, std::move(table), std::move(encoders));
+}
+
+class LinearKernelEpilogue : public ::testing::TestWithParam<pq::EncoderKind> {};
+
+// Each epilogue against query_into with no epilogue followed by the step
+// written out here, raw floats compared bit for bit. DO = 24 ends in a
+// masked 8-column tail; n = 9 and 17 run past a period of 8 rows.
+TEST_P(LinearKernelEpilogue, EachEpilogueEqualsItsStepAfterTheStore) {
+  InferenceWorkspace ws;
+  for (const std::size_t dout : {24, 32, 128}) {
+    for (const std::size_t c_count : {1, 2, 4}) {
+      const LinearKernel kernel = special_kernel(dout, c_count, GetParam());
+      for (const std::size_t n : {1, 8, 9, 16, 17}) {
+        const nn::Tensor in = nn::Tensor::randn({n, 16}, 1.1f, 200 + n);
+        const std::size_t res_stride = dout + 5;
+        const nn::Tensor res = nn::Tensor::randn({n, res_stride}, 1.0f, 210 + n);
+        const std::size_t out_stride = dout + 3;
+        std::vector<float> plain(n * out_stride);
+        kernel.query_into(in.data(), n, 16, plain.data(), out_stride, ws);
+        for (const std::size_t period : {std::size_t{0}, std::size_t{8}}) {
+          std::vector<float> got(n * out_stride);
+          kernel.query_into(in.data(), n, 16, got.data(), out_stride, ws,
+                            Epilogue::add(res.data(), res_stride, period));
+          for (std::size_t i = 0; i < n; ++i) {
+            const float* r = res.data() + (period == 0 ? i : i % period) * res_stride;
+            for (std::size_t o = 0; o < dout; ++o) {
+              const float want = plain[i * out_stride + o] + r[o];
+              ASSERT_PRED2(same_float, got[i * out_stride + o], want)
+                  << "add DO=" << dout << " C=" << c_count << " n=" << n << " period "
+                  << period << " row " << i << " col " << o;
+            }
+          }
+        }
+        std::vector<float> got(n * out_stride);
+        kernel.query_into(in.data(), n, 16, got.data(), out_stride, ws, Epilogue::relu());
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t o = 0; o < dout; ++o) {
+            const float v = plain[i * out_stride + o];
+            const float want = v > 0.0f ? v : 0.0f;
+            ASSERT_PRED2(same_float, got[i * out_stride + o], want)
+                << "relu DO=" << dout << " C=" << c_count << " n=" << n << " row " << i
+                << " col " << o << " input " << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+// query_mean_into against query_into followed by the mean written out
+// here: per sample, from +0, each of its T rows times 1/T added in t order,
+// one fused multiply-add per row where the build has FMA.
+TEST_P(LinearKernelEpilogue, MeanEqualsTheMeanOfTheStoredRows) {
+  InferenceWorkspace ws;
+  for (const std::size_t dout : {24, 32, 128}) {
+    for (const std::size_t c_count : {1, 2, 4}) {
+      const LinearKernel kernel = special_kernel(dout, c_count, GetParam());
+      for (const std::size_t t_len : {1, 3, 8}) {
+        for (const std::size_t n : {1, 8, 9, 16, 17}) {
+          const std::size_t rows = n * t_len;
+          const nn::Tensor in = nn::Tensor::randn({rows, 16}, 1.1f, 220 + rows);
+          std::vector<float> plain(rows * dout);
+          kernel.query_into(in.data(), rows, 16, plain.data(), dout, ws);
+          const std::size_t out_stride = dout + 2;
+          std::vector<float> got(n * out_stride);
+          kernel.query_mean_into(in.data(), n, t_len, 16, got.data(), out_stride, ws);
+          const float inv_t = 1.0f / static_cast<float>(t_len);
+          for (std::size_t s = 0; s < n; ++s) {
+            for (std::size_t o = 0; o < dout; ++o) {
+              float want = 0.0f;
+              for (std::size_t t = 0; t < t_len; ++t) {
+                const float row = plain[(s * t_len + t) * dout + o];
+#if defined(__FMA__)
+                want = std::fma(row, inv_t, want);
+#else
+                want += row * inv_t;
+#endif
+              }
+              ASSERT_PRED2(same_float, got[s * out_stride + o], want)
+                  << "DO=" << dout << " C=" << c_count << " T=" << t_len << " n=" << n
+                  << " sample " << s << " col " << o;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Encoders, LinearKernelEpilogue,
                          ::testing::Values(pq::EncoderKind::kExact, pq::EncoderKind::kHashTree));
 
 class AttentionKernelGolden : public ::testing::TestWithParam<pq::EncoderKind> {};
